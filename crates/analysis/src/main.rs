@@ -11,9 +11,9 @@
 //! 2. **RELAXED** — every `Ordering::Relaxed` in non-test code carries a
 //!    `// RELAXED:` justification the same way.
 //! 3. **Facade** — no direct `std::sync::atomic` / `std::sync::{Mutex,
-//!    RwLock, Condvar}` / `parking_lot` use outside `crates/sync` and
-//!    `crates/shims`: the `bohm_sync` facade must stay load-bearing or the
-//!    model checker silently loses coverage.
+//!    RwLock, Condvar}` / `parking_lot` use outside `crates/sync`: the
+//!    `bohm_sync` facade must stay load-bearing or the model checker
+//!    silently loses coverage.
 //! 4. **HOT-PATH** — files tagged `// HOT-PATH` must not call
 //!    `Instant::now` / `SystemTime::now`, touch `std::fs`, or print, in
 //!    non-test code.

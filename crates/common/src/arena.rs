@@ -25,8 +25,8 @@
 //! rejects `T: Drop` via a `needs_drop` assertion. Slices are written exactly
 //! once, before the `ASlice` is constructed, and are immutable afterwards;
 //! cross-thread visibility of the initialized bytes rides the same
-//! release/acquire edges that publish the slice value itself (channel send,
-//! mutex hand-off, `Arc` into the window ring) — exactly the guarantee that
+//! release/acquire edges that publish the slice value itself (mutex
+//! hand-off, `Arc` into the window ring) — exactly the guarantee that
 //! makes sending a `Box<[T]>` sound.
 //!
 //! `TxnState` is not named in this crate; see `bohm::batch` for the consumer.

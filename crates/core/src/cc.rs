@@ -17,33 +17,30 @@
 //! — so the examination itself is a tight pass over one contiguous array.
 //!
 //! Threads never coordinate per transaction or per record; the only
-//! synchronization is one atomic countdown per batch (§3.2.4). Whichever
-//! thread finishes a batch last hands it to every execution thread. (The
-//! sequencer already registered the batch in the window ring before any CC
-//! thread saw it, so execution can always resolve read dependencies into
-//! in-flight batches.)
+//! synchronization is one atomic countdown per batch (§3.2.4). Each thread
+//! walks the window ring in batch-id order; whichever thread finishes a
+//! batch last releases it to the execution threads. (The sequencer
+//! registered the batch in the window ring before any CC thread saw it, so
+//! execution can always resolve read dependencies into in-flight batches.)
 
 use crate::batch::Batch;
 use crate::engine::Inner;
 use bohm_common::RecordId;
 use bohm_mvstore::{Version, VersionIndex};
 use bohm_sync::atomic::Ordering;
-use crossbeam_channel::{Receiver, Sender};
 use crossbeam_epoch::{self as epoch, Owned};
 use std::sync::Arc;
 
-/// Main loop of CC thread `me`. Exits when the submission side hangs up.
-pub(crate) fn cc_loop(
-    inner: Arc<Inner>,
-    me: usize,
-    rx: Receiver<Arc<Batch>>,
-    exec_senders: Vec<Sender<Arc<Batch>>>,
-) {
+/// Main loop of CC thread `me`: every batch in id order, until the
+/// sequencer closes the window.
+pub(crate) fn cc_loop(inner: Arc<Inner>, me: usize) {
     let mut probe_tick = me as u64; // desynchronize threads' probe phases
                                     // Round-robin cursor of this thread's key-reclamation sweep (each CC
                                     // thread eventually visits every bucket, reclaiming only its own keys).
     let mut sweep_cursor = 0usize;
-    while let Ok(batch) = rx.recv() {
+    let mut next = 0u64;
+    while let Some(batch) = inner.window.next_sealed(next) {
+        next += 1;
         let t0 = std::time::Instant::now();
         process_batch(&inner, me, &batch, &mut probe_tick);
         sweep_keys(&inner, me, &mut sweep_cursor);
@@ -51,14 +48,7 @@ pub(crate) fn cc_loop(
             .cc_busy_ns
             // RELAXED: monotonic statistics counter.
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // The §3.2.4 barrier, amortized over the whole batch: the last CC
-        // thread through publishes the batch to the execution layer.
-        if batch.cc_pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            for s in &exec_senders {
-                // Receivers only disappear at shutdown.
-                let _ = s.send(Arc::clone(&batch));
-            }
-        }
+        inner.window.finish_cc(&batch);
     }
 }
 

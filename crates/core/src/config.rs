@@ -52,11 +52,6 @@ pub struct BohmConfig {
     /// [`effective_index_capacity`](Self::effective_index_capacity) for the
     /// exact rule.
     pub index_capacity: usize,
-    /// Maximum recursion depth when resolving read dependencies before the
-    /// transaction is parked back to `Unprocessed`. Guards against deep
-    /// same-key RMW chains in huge batches blowing the stack; 64 is far
-    /// above anything the paper's workloads produce per batch.
-    pub max_resolve_depth: usize,
     /// Maximum transactions per sequencer-formed batch (the §3.2.4
     /// coordination-amortization knob). Also the timestamp *stride*
     /// reserved per batch: batch `b` owns timestamps
@@ -107,7 +102,6 @@ impl Default for BohmConfig {
             key_gc_buckets: 512,
             annotate_max_reads: 64,
             index_capacity: 1 << 20,
-            max_resolve_depth: 64,
             batch_size: 4096,
             batch_linger: Duration::from_micros(200),
             max_inflight_batches: 8,

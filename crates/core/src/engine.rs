@@ -1,4 +1,4 @@
-//! Engine assembly: threads, channels, ingest queue, public API.
+//! Engine assembly: threads, window, ingest queue, public API.
 
 use crate::batch::{BatchHandle, Completion, TxnOutcome};
 use crate::config::{BohmConfig, CatalogSpec};
@@ -9,9 +9,8 @@ use crate::{cc, exec};
 use bohm_common::{RecordId, TableId, Txn};
 use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
 use bohm_sync::atomic::{AtomicU64, Ordering};
-use crossbeam_channel::unbounded;
+use bohm_sync::CachePadded;
 use crossbeam_epoch::{self as epoch, Owned};
-use crossbeam_utils::CachePadded;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -127,44 +126,35 @@ impl Bohm {
             config,
         });
 
+        // Every stage takes its batches from the window; when the ingest
+        // queue closes, the sequencer closes the window and the whole
+        // pipeline drains and unwinds.
         let mut threads = Vec::new();
-        let mut exec_senders = Vec::new();
         for i in 0..inner.config.exec_threads {
-            let (tx, rx) = unbounded();
-            exec_senders.push(tx);
             let inner2 = Arc::clone(&inner);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("bohm-exec-{i}"))
-                    .spawn(move || exec::exec_loop(inner2, i, rx))
+                    .spawn(move || exec::exec_loop(inner2, i))
                     .expect("spawn execution thread"),
             );
         }
-        let mut cc_senders = Vec::new();
         for i in 0..inner.config.cc_threads {
-            let (tx, rx) = unbounded();
-            cc_senders.push(tx);
             let inner2 = Arc::clone(&inner);
-            let exec_senders2 = exec_senders.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("bohm-cc-{i}"))
-                    .spawn(move || cc::cc_loop(inner2, i, rx, exec_senders2))
+                    .spawn(move || cc::cc_loop(inner2, i))
                     .expect("spawn CC thread"),
             );
         }
-        // Worker threads now hold the only long-lived exec senders (via the
-        // CC threads); the sequencer holds the only CC senders. When the
-        // ingest queue closes, the whole pipeline drains and unwinds.
-        drop(exec_senders);
-
         let (ingest, rx) = ingest::ingest_queue(inner.config.ingest_capacity);
         {
             let inner2 = Arc::clone(&inner);
             threads.push(
                 std::thread::Builder::new()
                     .name("bohm-seq".into())
-                    .spawn(move || ingest::seq_loop(inner2, rx, cc_senders))
+                    .spawn(move || ingest::seq_loop(inner2, rx))
                     .expect("spawn sequencer thread"),
             );
         }
@@ -529,10 +519,10 @@ impl Bohm {
     }
 
     fn shutdown_impl(&mut self) {
-        // Closing the ingest queue lets the sequencer drain and exit; its
-        // CC senders drop with it, CC threads exit, their exec-sender
-        // clones drop, and the execution channels close in turn.
-        self.ingest.close();
+        // Closing the ingest queue lets the sequencer drain and exit; it
+        // closes the window on its way out, and the CC and execution
+        // threads drain the registered batches and exit in turn.
+        self.ingest.shared.close();
         for h in self.threads.drain(..) {
             let _ = h.join();
         }

@@ -24,16 +24,24 @@ use crate::batch::{txn_status, Batch, TxnState};
 use crate::engine::Inner;
 use bohm_common::{execute_procedure, AbortReason, ExecScratch};
 use bohm_sync::atomic::Ordering;
-use crossbeam_channel::Receiver;
+use bohm_sync::Backoff;
 use crossbeam_epoch as epoch;
-use crossbeam_utils::Backoff;
 use std::sync::Arc;
 
-/// Main loop of execution thread `me`.
-pub(crate) fn exec_loop(inner: Arc<Inner>, me: usize, rx: Receiver<Arc<Batch>>) {
+/// Recursion budget of dependency resolution: past this depth the
+/// transaction is parked back to `Unprocessed` instead. Guards against deep
+/// same-key RMW chains in huge batches blowing the stack; 64 is far above
+/// anything the paper's workloads produce per batch.
+const MAX_RESOLVE_DEPTH: usize = 64;
+
+/// Main loop of execution thread `me`: every batch in id order, once its
+/// CC phase is done, until the sequencer closes the window.
+pub(crate) fn exec_loop(inner: Arc<Inner>, me: usize) {
     let mut scratch = ExecScratch::new();
     let mut remaining: Vec<usize> = Vec::new();
-    while let Ok(batch) = rx.recv() {
+    let mut next = 0u64;
+    while let Some(batch) = inner.window.next_planned(next) {
+        next += 1;
         let t0 = std::time::Instant::now();
         run_batch(&inner, me, &batch, &mut scratch, &mut remaining);
         inner
@@ -182,7 +190,7 @@ pub(crate) fn run_claimed(
 /// on this thread, recursively); `false` if it is being executed elsewhere
 /// or the recursion budget is exhausted — in both cases the caller parks.
 fn resolve_dependency(inner: &Inner, dep_ts: u64, scratch: &mut ExecScratch, depth: usize) -> bool {
-    if depth >= inner.config.max_resolve_depth {
+    if depth >= MAX_RESOLVE_DEPTH {
         return false;
     }
     loop {

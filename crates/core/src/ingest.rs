@@ -23,8 +23,10 @@
 //!   per-batch barriers and sparse traffic is not held hostage.
 //! * Sealed batches are registered in the `Window` ring
 //!   (`crate::window`) — which blocks while the in-flight-batch budget is
-//!   exhausted, completing the backpressure chain — and then handed to
-//!   every CC thread.
+//!   exhausted, completing the backpressure chain. Registration is the
+//!   hand-off: CC threads take each batch from the ring in id order. When
+//!   the sequencer exits it closes the window, and the workers drain what
+//!   is registered and stop.
 //!
 //! Timestamps are strided: batch `b` owns `1 + b·batch_size ..=
 //! (b+1)·batch_size`, and a partially-filled batch leaves the tail of its
@@ -33,9 +35,9 @@
 
 use crate::batch::{Batch, Completion, TxnHook};
 use crate::engine::Inner;
+use crate::window::Window;
 use bohm_common::Txn;
 use bohm_sync::{Condvar, Mutex};
-use crossbeam_channel::Sender;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,7 +93,7 @@ pub(crate) struct SubmitReq {
     pub completion: Arc<Completion>,
 }
 
-/// [`IngestTx::send`] after [`IngestTx::close`]: nothing was enqueued.
+/// [`IngestTx::send`] after [`QueueShared::close`]: nothing was enqueued.
 #[derive(Debug)]
 pub(crate) struct EngineClosed;
 
@@ -102,7 +104,7 @@ struct QueueState {
     closed: bool,
 }
 
-struct QueueShared {
+pub(crate) struct QueueShared {
     state: Mutex<QueueState>,
     not_full: Condvar,
     not_empty: Condvar,
@@ -112,7 +114,7 @@ struct QueueShared {
 /// Submitting half of the ingest queue (cloned into every session).
 #[derive(Clone)]
 pub(crate) struct IngestTx {
-    shared: Arc<QueueShared>,
+    pub shared: Arc<QueueShared>,
 }
 
 /// Draining half (owned by the sequencer thread).
@@ -179,30 +181,24 @@ impl IngestTx {
         let _guard = self.shared.state.lock();
         self.shared.not_empty.notify_all();
     }
+}
 
-    /// Stop accepting submissions; the sequencer drains what is queued and
-    /// exits. Idempotent.
+impl QueueShared {
+    /// Stop accepting submissions: senders, including those blocked on a
+    /// full queue, error out, and the sequencer drains what is queued and
+    /// exits. Engine shutdown closes from the sending side; the sequencer
+    /// closes from its side when the engine faults and can no longer
+    /// execute accepted work. Idempotent.
     pub fn close(&self) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         st.closed = true;
         drop(st);
-        self.shared.not_full.notify_all();
-        self.shared.not_empty.notify_all();
+        self.not_full.notify_all();
+        self.not_empty.notify_all();
     }
 }
 
 impl IngestRx {
-    /// Receiver-side close: stop accepting submissions (senders blocked on
-    /// a full queue wake up and error out). The sequencer uses this when
-    /// the engine faults and can no longer execute accepted work.
-    pub fn close(&self) {
-        let mut st = self.shared.state.lock();
-        st.closed = true;
-        drop(st);
-        self.shared.not_full.notify_all();
-        self.shared.not_empty.notify_all();
-    }
-
     /// Pop the oldest submission; with a deadline, give up at the deadline
     /// (the sequencer's linger timer). `Closed` only after the queue has
     /// fully drained, so no accepted submission is ever dropped.
@@ -239,8 +235,20 @@ impl IngestRx {
 // The sequencer role
 // ---------------------------------------------------------------------------
 
-/// Main loop of the sequencer thread: drain → bind → seal → dispatch.
-pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx, cc_senders: Vec<Sender<Arc<Batch>>>) {
+/// Closes the window when the sequencer exits, by returning or by
+/// unwinding, so CC and execution threads drain what is registered and
+/// stop.
+struct CloseOnExit<'a>(&'a Window);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// Main loop of the sequencer thread: drain → bind → seal → register.
+pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx) {
+    let _close = CloseOnExit(&inner.window);
     let stride = inner.config.batch_size;
     let linger = inner.config.batch_linger;
     let mut next_batch: u64 = 0;
@@ -296,15 +304,10 @@ pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx, cc_senders: Vec<Sender<A
                 arena,
             );
             *next_batch += 1;
-            // Ring registration first (it may block on the in-flight budget —
-            // that stall is the backpressure), and *before* any CC thread can
-            // install a placeholder whose producer must be resolvable.
-            inner.window.push(Arc::clone(&batch));
-            for s in &cc_senders {
-                // Worker channels only close after this thread drops its
-                // senders at exit.
-                let _ = s.send(Arc::clone(&batch));
-            }
+            // Registration is the hand-off to CC (it may block on the
+            // in-flight budget — that stall is the backpressure), so every
+            // placeholder a CC thread installs has a resolvable producer.
+            inner.window.push(batch);
             true
         };
 
@@ -354,8 +357,6 @@ pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx, cc_senders: Vec<Sender<A
             }
         }
     }
-    // Dropping `cc_senders` here closes the CC channels; CC threads exit,
-    // their exec-sender clones drop, and the pipeline drains itself.
 }
 
 /// Stop-the-world engine fault (the WAL refused an append): nothing
@@ -368,7 +369,7 @@ fn fail_engine(open: Vec<(Txn, TxnHook)>, rx: &IngestRx) {
     for (_, hook) in open {
         hook.completion.poison();
     }
-    rx.close();
+    rx.shared.close();
     loop {
         match rx.recv_deadline(None) {
             RecvOutcome::Req(req) => req.completion.poison(),
@@ -498,7 +499,7 @@ mod tests {
     fn close_drains_then_reports_closed() {
         let (tx, rx) = ingest_queue(10);
         tx.send(req(1)).map_err(|_| ()).unwrap();
-        tx.close();
+        tx.shared.close();
         assert!(tx.send(req(1)).is_err(), "send after close must fail");
         let RecvOutcome::Req(_) = rx.recv_deadline(None) else {
             panic!("queued submission must survive close")

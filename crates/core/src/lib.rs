@@ -12,10 +12,11 @@
 //!    input log. This one timestamp plays the role of both `t_begin` and
 //!    `t_end` of conventional MVCC — the transaction appears to execute
 //!    atomically at `ts`. The sequencer packs transactions into batches by
-//!    **size or time** trigger and registers each batch in the window ring
-//!    before dispatch; a full ring (the in-flight-batch budget) or a full
-//!    ingest queue blocks upstream — backpressure, not unbounded queueing.
-//!    See [`ingest`].
+//!    **size or time** trigger and registers each batch in the [`window`]
+//!    ring — the only hand-off between stages: CC and execution threads
+//!    each walk the ring in batch-id order. A full ring (the
+//!    in-flight-batch budget) or a full ingest queue blocks upstream —
+//!    backpressure, not unbounded queueing. See [`ingest`].
 //! 2. **Concurrency-control threads** (§3.2.2-§3.2.4): each owns a static
 //!    hash partition of the key space. For every transaction, in timestamp
 //!    order, the owner of each written record installs an *uninitialized

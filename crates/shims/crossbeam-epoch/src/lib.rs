@@ -388,7 +388,6 @@ impl<T> Atomic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
     #[test]

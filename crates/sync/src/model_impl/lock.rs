@@ -1,5 +1,5 @@
 //! Instrumented `Mutex` / `Condvar` / `RwLock`, API-compatible with the
-//! `parking_lot` surface the normal personality re-exports.
+//! normal personality's lock wrappers (`real::lock`).
 //!
 //! On a model thread the lock state is *virtual*: acquisition, blocking and
 //! hand-off are scheduler decisions, and lock/unlock carry acquire/release
@@ -8,10 +8,9 @@
 //! `std::sync` primitives so ordinary test suites keep working under the
 //! `bohm_modelcheck` cfg.
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError, RwLock as StdRwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use super::rt;
 use super::rt::LockMeta;
@@ -50,11 +49,6 @@ impl<T> Mutex<T> {
             v: std::cell::UnsafeCell::new(value),
         }
     }
-
-    /// Consume the mutex, returning the payload.
-    pub fn into_inner(self) -> T {
-        self.v.into_inner()
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -79,50 +73,11 @@ impl<T: ?Sized> Mutex<T> {
             }
         }
     }
-
-    /// Acquire the lock if it is free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        if rt::on_model_thread() {
-            rt::lock_try_acquire(&self.meta, false).then(|| MutexGuard {
-                lock: self,
-                raw: None,
-                model: true,
-            })
-        } else {
-            match self.raw.try_lock() {
-                Ok(g) => Some(MutexGuard {
-                    lock: self,
-                    raw: Some(g),
-                    model: false,
-                }),
-                Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                    lock: self,
-                    raw: Some(p.into_inner()),
-                    model: false,
-                }),
-                Err(std::sync::TryLockError::WouldBlock) => None,
-            }
-        }
-    }
-
-    /// Exclusive access through an exclusive reference (no locking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.v.get_mut()
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
     fn default() -> Self {
         Self::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_tuple("Mutex").field(&&*g).finish(),
-            None => f.write_str("Mutex(<locked>)"),
-        }
     }
 }
 
@@ -198,26 +153,6 @@ impl Condvar {
         }
     }
 
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T: ?Sized>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        if guard.model {
-            let timed_out = rt::condvar_wait(&guard.lock.meta, guard.lock.key(), self.key(), true);
-            WaitTimeoutResult(timed_out)
-        } else {
-            let g = guard.raw.take().expect("guard present outside wait");
-            let (g, res) = match self.raw.wait_timeout(g, timeout) {
-                Ok(pair) => pair,
-                Err(p) => p.into_inner(),
-            };
-            guard.raw = Some(g);
-            WaitTimeoutResult(res.timed_out())
-        }
-    }
-
     /// Block until notified or `deadline` passes.
     pub fn wait_until<T: ?Sized>(
         &self,
@@ -225,13 +160,20 @@ impl Condvar {
         deadline: Instant,
     ) -> WaitTimeoutResult {
         if guard.model {
-            return self.wait_for(guard, Duration::ZERO);
+            let timed_out = rt::condvar_wait(&guard.lock.meta, guard.lock.key(), self.key(), true);
+            return WaitTimeoutResult(timed_out);
         }
         let now = Instant::now();
         if now >= deadline {
             return WaitTimeoutResult(true);
         }
-        self.wait_for(guard, deadline - now)
+        let g = guard.raw.take().expect("guard present outside wait");
+        let (g, res) = self
+            .raw
+            .wait_timeout(g, deadline - now)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.raw = Some(g);
+        WaitTimeoutResult(res.timed_out())
     }
 
     /// Wake one waiter (a seeded scheduling decision under the model).

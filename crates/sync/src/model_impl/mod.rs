@@ -13,6 +13,13 @@ pub use lock::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
 };
 
+/// [`Backoff::snooze`](crate::Backoff::snooze) pause: one explicit yield
+/// (a single scheduling point, whatever the step), which PCT reads as
+/// "someone else should run".
+pub(crate) fn backoff_pause(_step: u32) {
+    thread::yield_now();
+}
+
 /// Instrumented `std::sync::atomic` twins (orderings are the real enum).
 pub mod atomic {
     pub use super::atomic_impl::{

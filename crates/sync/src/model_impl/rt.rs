@@ -962,41 +962,6 @@ pub(crate) fn lock_acquire(meta: &StdMutex<LockMeta>, key: usize, shared: bool) 
     }
 }
 
-/// Try-acquire without blocking; returns whether the lock was taken.
-pub(crate) fn lock_try_acquire(meta: &StdMutex<LockMeta>, shared: bool) -> bool {
-    yield_point();
-    let Some((gen, me)) = current() else {
-        return true;
-    };
-    let mut st = lock_state();
-    if st.gen != gen {
-        set_current(None);
-        return true;
-    }
-    let mut m = meta.lock().unwrap_or_else(PoisonError::into_inner);
-    if m.gen != st.gen {
-        m.writer = None;
-        m.readers = 0;
-        m.release.clear();
-        m.gen = st.gen;
-    }
-    let free = if shared {
-        m.writer.is_none()
-    } else {
-        m.writer.is_none() && m.readers == 0
-    };
-    if free {
-        if shared {
-            m.readers += 1;
-        } else {
-            m.writer = Some(me);
-        }
-        let rel = m.release.clone();
-        st.threads[me].clock.join(&rel);
-    }
-    free
-}
-
 /// Release the virtual lock and wake its waiters.
 pub(crate) fn lock_release(meta: &StdMutex<LockMeta>, key: usize, shared: bool) {
     let Some((gen, me)) = current() else { return };

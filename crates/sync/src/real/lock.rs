@@ -1,66 +1,46 @@
-//! Offline shim for `parking_lot`: the `Mutex`/`RwLock`/`Condvar` API
-//! surface this workspace uses, implemented over `std::sync` primitives.
-//! Poisoning is deliberately transparent (a panicking thread does not
-//! poison locks for everyone else — parking_lot semantics).
+//! Normal-build `Mutex` / `Condvar` / `RwLock`: thin wrappers over
+//! `std::sync` with poisoning made transparent (a thread that panics while
+//! holding a lock does not poison it for everyone else).
+//!
+//! The API is exactly the one the instrumented twins in `model_impl::lock`
+//! provide: `lock()` returns the guard directly, and `Condvar::wait` takes
+//! the guard by `&mut` instead of by value.
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Mutex
 // ---------------------------------------------------------------------------
 
+/// Mutual-exclusion lock over `std::sync::Mutex`, without poisoning.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
 
+/// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
     // `Option` so `Condvar::wait` can move the std guard out and back.
     guard: Option<std::sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
+    /// Create a new mutex.
     pub const fn new(value: T) -> Self {
         Self {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
+    /// Acquire the lock, blocking until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             guard: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { guard: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                guard: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
     }
 }
 
@@ -86,45 +66,33 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 pub struct WaitTimeoutResult(bool);
 
 impl WaitTimeoutResult {
+    /// Whether the wait ended because the deadline passed.
     pub fn timed_out(&self) -> bool {
         self.0
     }
 }
 
+/// Condition variable over `std::sync::Condvar`.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
 }
 
 impl Condvar {
+    /// Create a new condition variable.
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
         }
     }
 
+    /// Block until notified, releasing `guard`'s mutex while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.guard.take().expect("guard present outside wait");
         guard.guard = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
     }
 
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.guard.take().expect("guard present outside wait");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, res)) => (g, res),
-            Err(p) => {
-                let (g, res) = p.into_inner();
-                (g, res)
-            }
-        };
-        guard.guard = Some(g);
-        WaitTimeoutResult(res.timed_out())
-    }
-
+    /// Block until notified or `deadline` passes.
     pub fn wait_until<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
@@ -134,13 +102,21 @@ impl Condvar {
         if now >= deadline {
             return WaitTimeoutResult(true);
         }
-        self.wait_for(guard, deadline - now)
+        let g = guard.guard.take().expect("guard present outside wait");
+        let (g, res) = self
+            .inner
+            .wait_timeout(g, deadline - now)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.guard = Some(g);
+        WaitTimeoutResult(res.timed_out())
     }
 
+    /// Wake one waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
     }
 
+    /// Wake every waiter.
     pub fn notify_all(&self) {
         self.inner.notify_all();
     }
@@ -150,20 +126,24 @@ impl Condvar {
 // RwLock
 // ---------------------------------------------------------------------------
 
+/// Reader-writer lock over `std::sync::RwLock`, without poisoning.
 #[derive(Default)]
 pub struct RwLock<T: ?Sized> {
     inner: std::sync::RwLock<T>,
 }
 
+/// Shared-access RAII guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     guard: std::sync::RwLockReadGuard<'a, T>,
 }
 
+/// Exclusive-access RAII guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     guard: std::sync::RwLockWriteGuard<'a, T>,
 }
 
 impl<T> RwLock<T> {
+    /// Create a new reader-writer lock.
     pub const fn new(value: T) -> Self {
         Self {
             inner: std::sync::RwLock::new(value),
@@ -172,12 +152,14 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
+    /// Acquire shared access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         RwLockReadGuard {
             guard: self.inner.read().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
+    /// Acquire exclusive access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard {
             guard: self.inner.write().unwrap_or_else(PoisonError::into_inner),
@@ -202,79 +184,5 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn mutex_guards_exclusive_access() {
-        let m = Arc::new(Mutex::new(0u64));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1_000 {
-                    *m.lock() += 1;
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*m.lock(), 8_000);
-    }
-
-    #[test]
-    fn condvar_wait_and_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut ready = m.lock();
-            while !*ready {
-                cv.wait(&mut ready);
-            }
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        let (m, cv) = &*pair;
-        *m.lock() = true;
-        cv.notify_all();
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(res.timed_out());
-    }
-
-    #[test]
-    fn locks_are_not_poisoned_by_panics() {
-        let m = Arc::new(Mutex::new(1u32));
-        let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison attempt");
-        })
-        .join();
-        assert_eq!(*m.lock(), 1, "lock must stay usable after a panic");
-    }
-
-    #[test]
-    fn rwlock_allows_parallel_readers() {
-        let l = RwLock::new(5u32);
-        let r1 = l.read();
-        let r2 = l.read();
-        assert_eq!(*r1 + *r2, 10);
-        drop((r1, r2));
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 }

@@ -1,12 +1,30 @@
-//! Normal-build personality: nothing but re-exports.
+//! Normal-build personality: `std` re-exports plus the poison-transparent
+//! lock wrappers in [`lock`].
 //!
 //! Every item here must stay API-compatible with the instrumented twins in
 //! `model_impl` — code written against the facade compiles identically under
 //! both personalities.
 
-pub use parking_lot::{
+mod lock;
+
+pub use lock::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
 };
+
+/// [`Backoff::snooze`](crate::Backoff::snooze) pause: a burst of
+/// `2^step` pause instructions while the backoff is young, then a thread
+/// yield.
+pub(crate) fn backoff_pause(step: u32) {
+    /// Last step whose pause is a spin burst.
+    const SPIN_LIMIT: u32 = 6;
+    if step <= SPIN_LIMIT {
+        for _ in 0..1u32 << step {
+            std::hint::spin_loop();
+        }
+    } else {
+        std::thread::yield_now();
+    }
+}
 
 /// `std::sync::atomic`, verbatim.
 pub mod atomic {

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit of the BOHM pipeline.
 //!
 //! The arena refactor's core claim is that once the pipeline is warm —
-//! chunk pool populated, channels and queues at capacity, epoch bags
+//! chunk pool populated, queues at capacity, epoch bags
 //! allocated — a read-only workload runs **allocation-free** per
 //! transaction: read/write sets, CC plans and placeholder-pointer buffers
 //! all live in recycled batch arenas, and execution reuses per-thread
@@ -61,7 +61,7 @@ fn bohm_read_only_steady_state_allocates_nothing_per_txn() {
     };
     let engine = Bohm::start(cfg, CatalogSpec::new().table(ROWS, 8, |r| r));
 
-    // Warmup: fills the arena chunk pool, channel/queue capacities, epoch
+    // Warmup: fills the arena chunk pool, queue capacities, epoch
     // thread-locals and the exec threads' scratch buffers.
     for group in build_groups(n.min(2048), 7) {
         for out in engine.submit(group).outcomes() {

@@ -23,8 +23,9 @@
 //!   plain reads and writes.
 //!
 //! In-crate models live next to their structures:
-//! `bohm::window::modelcheck` (push/retire vs. the vacancy condvar — a
-//! lost wakeup surfaces as a model deadlock) and
+//! `bohm::window::modelcheck` (push/retire vs. the vacancy condvar, and the
+//! sequencer → CC → execution hand-off through the ring — a lost wakeup
+//! surfaces as a model deadlock) and
 //! `bohm_hekaton::store::modelcheck` (push vs. prune vs. scan).
 #![cfg(bohm_modelcheck)]
 
