@@ -11,6 +11,13 @@
 //! * opportunistically truncate the record's dead version tail under the
 //!   Condition-3 GC bound (§3.3.2 — GC triggers on update).
 //!
+//! Each CC thread owns a [`VersionPool`]: truncated versions go into it and
+//! come back out as the placeholders of later writes, so a warm CC thread
+//! neither allocates nor defers frees per write. The GC bound a truncation
+//! uses is always an Acquire load — the edge that orders every finished
+//! reader of a truncated version before its reuse (the watermark rule in
+//! `bohm_mvstore::chain`).
+//!
 //! The per-transaction scan iterates the sequencer-built packed plan
 //! (see `PlanEntry` in `crate::batch`): every CC thread examines
 //! every transaction — the design's acknowledged serial component (§3.2.2)
@@ -26,9 +33,9 @@
 use crate::batch::Batch;
 use crate::engine::Inner;
 use bohm_common::RecordId;
-use bohm_mvstore::{Version, VersionIndex};
+use bohm_mvstore::{Version, VersionIndex, VersionPool};
 use bohm_sync::atomic::Ordering;
-use crossbeam_epoch::{self as epoch, Owned};
+use crossbeam_epoch as epoch;
 use std::sync::Arc;
 
 /// Main loop of CC thread `me`: every batch in id order, until the
@@ -38,12 +45,13 @@ pub(crate) fn cc_loop(inner: Arc<Inner>, me: usize) {
                                     // Round-robin cursor of this thread's key-reclamation sweep (each CC
                                     // thread eventually visits every bucket, reclaiming only its own keys).
     let mut sweep_cursor = 0usize;
+    let mut pool = VersionPool::new();
     let mut next = 0u64;
     while let Some(batch) = inner.window.next_sealed(next) {
         next += 1;
         let t0 = std::time::Instant::now();
-        process_batch(&inner, me, &batch, &mut probe_tick);
-        sweep_keys(&inner, me, &mut sweep_cursor);
+        process_batch(&inner, me, &batch, &mut probe_tick, &mut pool);
+        sweep_keys(&inner, me, &mut sweep_cursor, &mut pool);
         inner
             .cc_busy_ns
             // RELAXED: monotonic statistics counter.
@@ -65,7 +73,7 @@ pub(crate) fn cc_loop(inner: Arc<Inner>, me: usize) {
 /// suffixes are truncated first so a deleted-then-idle key can reach its
 /// sole-tombstone shape without waiting for a write probe that will never
 /// come.
-pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize) {
+pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mut VersionPool) {
     let budget = inner.config.key_gc_buckets;
     if budget == 0 || !inner.config.enable_gc {
         return;
@@ -77,6 +85,8 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize) {
     if inner.deletes_seen.load(Ordering::Relaxed) == 0 {
         return;
     }
+    // Acquire: orders every finished reader before both the key
+    // retirement and the version recycling below.
     let bound = inner.gc_bound.load(Ordering::Acquire);
     if bound == 0 {
         return;
@@ -90,7 +100,9 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize) {
             if (rid.stable_hash() >> 32) % m as u64 != me as u64 {
                 return false;
             }
-            versions += chain.truncate(bound, &guard);
+            // SAFETY: this thread owns the key's partition, and `bound`
+            // was Acquire-loaded from the GC bound (the watermark rule).
+            versions += unsafe { chain.truncate(bound, &guard, pool) };
             chain.annotated_ts() <= bound
                 && chain.sole_tombstone(&guard).is_some_and(|b| b <= bound)
         });
@@ -114,8 +126,15 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize) {
     }
 }
 
-/// Process every transaction of `batch` for partition `me`.
-pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, probe_tick: &mut u64) {
+/// Process every transaction of `batch` for partition `me`, taking
+/// placeholders from and truncating into this thread's `pool`.
+pub(crate) fn process_batch(
+    inner: &Inner,
+    me: usize,
+    batch: &Batch,
+    probe_tick: &mut u64,
+    pool: &mut VersionPool,
+) {
     let mut guard = epoch::pin();
     let annotate = inner.config.annotate_reads;
     let gc = inner.config.enable_gc;
@@ -174,7 +193,7 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, probe_tick:
                 let rid = t.txn.writes[wi];
                 let chain = inner.index.get_or_insert(rid, &guard);
                 let size = inner.record_size(rid.table);
-                let v = chain.install(Owned::new(Version::placeholder(t.ts, size)), &guard);
+                let v = chain.install(pool.placeholder(t.ts, size), &guard);
                 t.write_refs[wi].store(v.as_raw() as *mut Version, Ordering::Release);
                 // GC triggers on update (§3.3.2) but is attempted on a
                 // 1-in-8 sample of installs: each truncate probe costs a
@@ -185,12 +204,13 @@ pub(crate) fn process_batch(inner: &Inner, me: usize, batch: &Batch, probe_tick:
                 // and starve a chain of probes.
                 *probe_tick += 1;
                 if gc && *probe_tick & 0x7 == 0 {
-                    // RELAXED: a stale (smaller) bound only truncates less
-                    // this probe; the Acquire load in `sweep_keys` is the
-                    // edge that guards key retirement.
-                    let bound = inner.gc_bound.load(Ordering::Relaxed);
+                    // Acquire: orders every finished reader of the versions
+                    // this truncation recycles before their reuse.
+                    let bound = inner.gc_bound.load(Ordering::Acquire);
                     if bound > 0 {
-                        let retired = chain.truncate(bound, &guard);
+                        // SAFETY: `e.partition(m) == me`, so this thread owns
+                        // the chain, and `bound` is the Acquire load above.
+                        let retired = unsafe { chain.truncate(bound, &guard, pool) };
                         if retired > 0 {
                             inner
                                 .gc_retired

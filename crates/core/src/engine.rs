@@ -25,6 +25,9 @@ pub(crate) struct Inner {
     pub finished_ts: Vec<CachePadded<AtomicU64>>,
     /// Global Condition-3 low watermark, expressed as a timestamp bound:
     /// every transaction with `ts ≤ gc_bound` has finished executing.
+    /// Release-stored by `exec::refresh_gc_bound`; every load that feeds a
+    /// truncation is an Acquire, because truncated versions are reused at
+    /// once (the watermark rule in `bohm_mvstore::chain`).
     pub gc_bound: AtomicU64,
     /// Highest `Batch::epoch` among retired batches. Batches retire in id
     /// order, so once this reaches epoch `e` every transaction this shard
@@ -357,7 +360,10 @@ impl Bohm {
     ///
     /// Panics on a pending (unexecuted) chain head, like
     /// [`read_record`](Self::read_record): snapshotting a non-quiescent
-    /// engine is a harness bug.
+    /// engine is a harness bug. The panic is not guaranteed: on a running
+    /// engine a head read here can be superseded, truncated and re-armed
+    /// as another write's placeholder while it is being copied, so a
+    /// non-quiescent snapshot may also return wrong bytes.
     pub fn snapshot_records(&self, f: &mut dyn FnMut(RecordId, &[u8])) {
         let guard = epoch::pin();
         self.inner.index.for_each(&guard, &mut |rid, chain| {
@@ -412,6 +418,11 @@ impl Bohm {
 
     /// Read the latest committed value of `rid` (diagnostics / verification;
     /// intended for quiescent moments, e.g. after draining all batches).
+    ///
+    /// On a running engine this may panic on a pending head, or — because
+    /// CC threads recycle truncated versions without a grace period — read
+    /// a version that was superseded and re-armed for an unrelated write.
+    /// Only a quiescent read is defined.
     pub fn read_record(&self, rid: RecordId) -> Option<Box<[u8]>> {
         let guard = epoch::pin();
         let chain = self.inner.index.get(rid, &guard)?;
@@ -461,8 +472,9 @@ impl Bohm {
 
     /// Current GC low watermark (largest timestamp known fully executed).
     pub fn gc_bound(&self) -> u64 {
-        // RELAXED: monotone watermark snapshot for diagnostics; internal
-        // consumers use the Acquire load in `sweep_keys`.
+        // RELAXED: watermark snapshot for diagnostics only; every internal
+        // load that feeds truncation or key retirement is an Acquire (see
+        // `cc::process_batch` and `cc::sweep_keys`).
         self.inner.gc_bound.load(Ordering::Relaxed)
     }
 

@@ -42,8 +42,10 @@
 //! Old versions are reclaimed with the paper's **Condition 3** (§3.3.2):
 //! once every execution thread has finished batch `b`, versions superseded
 //! by transactions of batches `≤ b` are unreachable and are truncated by the
-//! owning CC thread, deferring physical frees to `crossbeam-epoch` (RCU).
-//! Batch retirement releases the window ring slot and advances that bound.
+//! owning CC thread into its version pool, which re-arms them as the
+//! placeholders of later writes — no grace period, no per-write allocation
+//! (the watermark rule in `bohm_mvstore::chain`). Batch retirement releases
+//! the window ring slot and advances that bound.
 //!
 //! See `DESIGN.md` at the repository root for the system map.
 //!

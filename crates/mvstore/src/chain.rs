@@ -6,12 +6,45 @@
 //! record's partition (paper §3.2.2: "a record is always processed by the
 //! same thread, even across transaction boundaries") — so installation and
 //! truncation need no compare-and-swap, only release stores. Readers
-//! traverse under a `crossbeam_epoch` guard and perform no shared-memory
-//! writes whatsoever (paper §2.2, design goal 2).
+//! perform no shared-memory writes whatsoever (paper §2.2, design goal 2).
+//!
+//! # Reclamation: the watermark rule
+//!
+//! [`Chain::truncate`] unlinks every version whose `end ≤ bound`, where
+//! `bound` is the GC low watermark (every transaction with `ts ≤ bound`
+//! has finished executing), and hands them straight to the owning CC
+//! thread's [`VersionPool`], which re-arms them as placeholders for later
+//! writes. There is no epoch grace period. This is sound because **a
+//! reader at `ts > bound` never dereferences a version with
+//! `end ≤ bound`**:
+//!
+//! * its walk from the head stops at the first version with `begin < ts`,
+//!   and every version it passes before that has `begin ≥ ts > bound`;
+//! * the version it stops at has `end` = its successor's `begin ≥ ts >
+//!   bound` (or `end = ∞` at the head), and so do the versions a CC pass
+//!   annotated for it (the latest version at its CC time, which a later
+//!   write supersedes at a timestamp `≥ ts`);
+//! * a walk never loads the `prev` edge that truncation cuts: that edge
+//!   leaves a version with `begin = end of its predecessor ≤ bound < ts`,
+//!   where the walk has already stopped.
+//!
+//! Readers at `ts ≤ bound` have all finished, and their accesses happen
+//! before the truncation: each execution thread Release-stores its
+//! `finished_ts` after its last dereference, the watermark refresh
+//! Acquire-loads those and Release-stores `gc_bound`, and every
+//! `gc_bound` load that feeds `truncate` is an Acquire. A caller that
+//! breaks this contract — a reader at `ts ≤ bound`, or a non-quiescent
+//! diagnostic read of an old head — can observe a version re-armed for an
+//! unrelated write.
+//!
+//! The epoch guard the methods take still protects what the epoch
+//! collector frees: whole chains, dropped with the index entries the key
+//! sweep retires.
 
 // HOT-PATH: install/visible run per write and per read of every
 // transaction; no clocks, no syscalls, no I/O (enforced by the lint).
 
+use crate::pool::VersionPool;
 use crate::version::Version;
 use bohm_common::Timestamp;
 use bohm_sync::atomic::{AtomicU64, Ordering};
@@ -74,9 +107,8 @@ impl Chain {
     /// the key's index entry can be retired outright.
     pub fn sole_tombstone(&self, guard: &Guard) -> Option<Timestamp> {
         let head = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: `head` was loaded from the chain under `guard`; versions
-        // are unlinked before being deferred, so anything reachable here
-        // outlives the pin.
+        // SAFETY: only the owning CC thread truncates, and the head is never
+        // truncated (its end is ∞); the caller is that thread.
         let v = unsafe { head.as_ref() }?;
         if v.state() == crate::version::VersionState::Tombstone
             && v.prev.load(Ordering::Acquire, guard).is_null()
@@ -117,10 +149,15 @@ impl Chain {
     }
 
     /// Latest version, if any.
+    ///
+    /// The head is never truncated, but once superseded it can be: a
+    /// caller other than the owning CC thread must hold the result only
+    /// while no later write can be installed and truncated (a quiescent
+    /// engine), or as a reader above the GC bound (module docs).
     #[inline]
     pub fn latest<'g>(&self, guard: &'g Guard) -> Option<&'g Version> {
-        // SAFETY: loaded under `guard`; epoch reclamation defers the head's
-        // destruction past every live pin.
+        // SAFETY: the chain is live under `guard`, and the head stays
+        // linked until a newer install; the watermark rule covers the rest.
         unsafe { self.head.load(Ordering::Acquire, guard).as_ref() }
     }
 
@@ -133,12 +170,15 @@ impl Chain {
     /// precisely what its read-modify-write must observe. Returns `None` if
     /// the record did not exist at `ts` (including tombstoned versions —
     /// callers distinguish via [`Version::state`]).
+    ///
+    /// `ts` must stay above every GC bound `truncate` is called with while
+    /// the caller holds the result (the watermark rule, module docs).
     pub fn visible<'g>(&self, ts: Timestamp, guard: &'g Guard) -> Option<&'g Version> {
         let mut cur = self.head.load(Ordering::Acquire, guard);
         loop {
-            // SAFETY: `cur` came from the head or a `prev` edge under
-            // `guard`; truncation unlinks before deferring destruction, so
-            // every pointer we can still reach stays live for this pin.
+            // SAFETY: `cur` came from the head or from the `prev` edge of a
+            // version with `begin ≥ ts`; by the watermark rule neither can
+            // lead to a truncated (recycled) version while `ts > bound`.
             let v = unsafe { cur.as_ref() }?;
             if v.begin() < ts {
                 // Ends decrease monotonically as we walk older versions, so
@@ -149,12 +189,12 @@ impl Chain {
         }
     }
 
-    /// Number of versions currently linked (test/diagnostic helper; racy
-    /// under concurrent installation).
+    /// Number of versions currently linked (test/diagnostic helper, for
+    /// the owning CC thread or a quiescent chain).
     pub fn depth(&self, guard: &Guard) -> usize {
         let mut n = 0;
         let mut cur = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: as in `visible` — reachable-under-guard pointers are live.
+        // SAFETY: no truncation runs concurrently (caller contract above).
         while let Some(v) = unsafe { cur.as_ref() } {
             n += 1;
             cur = v.prev.load(Ordering::Acquire, guard);
@@ -168,12 +208,25 @@ impl Chain {
     /// every transaction with `ts ≤ bound` has finished executing. A version
     /// whose `end ≤ bound` can no longer be read by any active or future
     /// transaction (its readers all have `ts ≤ end ≤ bound` and are done),
-    /// so the tail starting at the first such version is unlinked and
-    /// deferred to the epoch collector. Returns the number of versions
-    /// retired.
+    /// so the tail starting at the first such version is unlinked and every
+    /// version in it goes to `pool` for immediate reuse — the watermark
+    /// rule in the module docs says why no grace period is needed. Returns
+    /// the number of versions retired.
     ///
-    /// Like `install`, this must only be called by the owning CC thread.
-    pub fn truncate(&self, bound: Timestamp, guard: &Guard) -> usize {
+    /// # Safety
+    ///
+    /// The caller must be the chain's owning CC thread (like `install`),
+    /// and every reader that may still dereference a version of this chain
+    /// with `end ≤ bound` must have finished, with its accesses happening
+    /// before this call. In BOHM both follow from the watermark rule
+    /// (module docs) when `bound` is an Acquire load of the GC bound, or
+    /// anything smaller.
+    pub unsafe fn truncate(
+        &self,
+        bound: Timestamp,
+        guard: &Guard,
+        pool: &mut VersionPool,
+    ) -> usize {
         // The head always has end = ∞, so the truncation point is strictly
         // below the head and `pred` is always valid.
         let head = self.head.load(Ordering::Acquire, guard);
@@ -190,20 +243,21 @@ impl Chain {
                 return 0;
             };
             if v.end() <= bound {
-                // Unlink the tail, then retire every version in it.
+                // Unlink the tail, then recycle every version in it.
                 pred.prev.store(Shared::null(), Ordering::Release);
                 let mut retired = 0;
                 let mut cur = next;
-                // SAFETY: the tail was just unlinked by its only writer;
-                // our own guard keeps the memory live while we walk it.
-                while let Some(vv) = unsafe { cur.as_ref() } {
-                    let older = vv.prev.load(Ordering::Acquire, guard);
-                    // SAFETY: the tail is unreachable from the head; any
-                    // in-flight traversal holds an epoch guard, so physical
-                    // destruction is deferred past it.
-                    unsafe { guard.defer_destroy(cur) };
+                while !cur.is_null() {
+                    // SAFETY: the tail is unreachable from the head, every
+                    // version in it has `end ≤ bound`, and by the caller's
+                    // contract every reader that could still hold one has
+                    // finished before this call — this thread owns it now.
+                    let owned = unsafe { cur.into_owned() };
+                    // RELAXED: this thread wrote every `prev` edge of its
+                    // chains; no other writer exists to synchronize with.
+                    cur = owned.prev.load(Ordering::Relaxed, guard);
+                    pool.put(owned.into_box());
                     retired += 1;
-                    cur = older;
                 }
                 return retired;
             }
@@ -240,6 +294,14 @@ mod tests {
 
     fn ready(ts: Timestamp, val: u64) -> Owned<Version> {
         Owned::new(Version::ready(ts, of_u64(val, 8)))
+    }
+
+    /// Truncation in a single-threaded test, where no version reference is
+    /// held across the call.
+    fn truncate(c: &Chain, bound: Timestamp, g: &Guard, pool: &mut VersionPool) -> usize {
+        // SAFETY: no other thread exists and the callers keep no version
+        // reference across the call, so no reader can see the recycling.
+        unsafe { c.truncate(bound, g, pool) }
     }
 
     #[test]
@@ -309,18 +371,19 @@ mod tests {
     fn truncate_retires_only_dead_tail() {
         let c = Chain::new();
         let g = epoch::pin();
+        let mut pool = VersionPool::new();
         c.install(ready(100, 1), &g); // end=200
         c.install(ready(200, 2), &g); // end=300
         c.install(ready(300, 3), &g); // end=∞
                                       // Watermark bound 250: version(100) has end 200 ≤ 250 → retire 1.
-        assert_eq!(c.truncate(250, &g), 1);
+        assert_eq!(truncate(&c, 250, &g, &mut pool), 1);
         assert_eq!(c.depth(&g), 2);
         // Readers above the bound still resolve correctly.
         assert_eq!(get_u64(c.visible(250, &g).unwrap().data(), 0), 2);
         // Bound below every end: nothing to do.
-        assert_eq!(c.truncate(250, &g), 0);
+        assert_eq!(truncate(&c, 250, &g, &mut pool), 0);
         // Bound covering version(200): retire it too.
-        assert_eq!(c.truncate(300, &g), 1);
+        assert_eq!(truncate(&c, 300, &g, &mut pool), 1);
         assert_eq!(c.depth(&g), 1);
         assert_eq!(get_u64(c.latest(&g).unwrap().data(), 0), 3);
     }
@@ -333,6 +396,7 @@ mod tests {
         // converges to the single live version.
         let c = Chain::new();
         let g = epoch::pin();
+        let mut pool = VersionPool::new();
         c.install(ready(100, 1), &g); // end=200 after delete
         let del = c.install(Owned::new(Version::placeholder(200, 8)), &g);
         // SAFETY: `del` was just installed under `g` and nothing truncates.
@@ -347,9 +411,13 @@ mod tests {
         assert_eq!(c.depth(&g), 3);
         // Bound below the re-insert keeps the tombstone (a reader at 250
         // might still need to observe the deletion).
-        assert_eq!(c.truncate(250, &g), 1, "only the pre-delete value dies");
+        assert_eq!(
+            truncate(&c, 250, &g, &mut pool),
+            1,
+            "only the pre-delete value dies"
+        );
         // Bound at the re-insert reclaims the tombstone too.
-        assert_eq!(c.truncate(300, &g), 1);
+        assert_eq!(truncate(&c, 300, &g, &mut pool), 1);
         assert_eq!(c.depth(&g), 1);
         assert_eq!(get_u64(c.latest(&g).unwrap().data(), 0), 3);
     }
@@ -358,6 +426,7 @@ mod tests {
     fn sole_tombstone_shape_and_annotation_bookkeeping() {
         let c = Chain::new();
         let g = epoch::pin();
+        let mut pool = VersionPool::new();
         assert!(c.sole_tombstone(&g).is_none(), "empty chain");
         c.install(ready(100, 1), &g);
         assert!(c.sole_tombstone(&g).is_none(), "live value");
@@ -368,7 +437,7 @@ mod tests {
             c.sole_tombstone(&g).is_none(),
             "predecessor value still linked"
         );
-        assert_eq!(c.truncate(200, &g), 1);
+        assert_eq!(truncate(&c, 200, &g, &mut pool), 1);
         assert_eq!(c.sole_tombstone(&g), Some(200), "fully-deleted shape");
         assert_eq!(c.annotated_ts(), 0);
         c.note_annotation(250);
@@ -379,8 +448,9 @@ mod tests {
     fn truncate_never_touches_live_head() {
         let c = Chain::new();
         let g = epoch::pin();
+        let mut pool = VersionPool::new();
         c.install(ready(100, 1), &g);
-        assert_eq!(c.truncate(u64::MAX - 1, &g), 0);
+        assert_eq!(truncate(&c, u64::MAX - 1, &g, &mut pool), 0);
         assert_eq!(c.depth(&g), 1);
     }
 
@@ -388,62 +458,119 @@ mod tests {
     fn long_history_truncates_in_one_pass() {
         let c = Chain::new();
         let g = epoch::pin();
+        let mut pool = VersionPool::new();
         for i in 1..=100 {
             c.install(ready(i * 10, i), &g);
         }
         // All ends except the head's are ≤ 1000.
-        assert_eq!(c.truncate(1000, &g), 99);
+        assert_eq!(truncate(&c, 1000, &g, &mut pool), 99);
         assert_eq!(c.depth(&g), 1);
+        assert_eq!(pool.len(), 99, "every truncated version is pooled");
+    }
+
+    #[test]
+    fn truncated_versions_come_back_as_placeholders() {
+        let c = Chain::new();
+        let g = epoch::pin();
+        let mut pool = VersionPool::new();
+        c.install(ready(1, 1), &g);
+        let old = c.latest(&g).unwrap() as *const Version;
+        c.install(ready(2, 2), &g);
+        assert_eq!(truncate(&c, 2, &g, &mut pool), 1);
+        let v = c.install(pool.placeholder(3, 8), &g);
+        assert_eq!(v.as_raw(), old, "the truncated version was reused");
+        assert!(pool.is_empty());
+        // Re-armed: a fresh pending head superseding ts 2, no stale link.
+        let head = c.latest(&g).unwrap();
+        assert_eq!((head.begin(), head.end()), (3, INFINITY_TS));
+        assert!(!head.is_resolved());
+        assert_eq!(c.visible(3, &g).unwrap().end(), 3);
+        assert_eq!(c.depth(&g), 2);
     }
 
     #[test]
     fn concurrent_readers_during_install_and_truncate() {
-        use bohm_sync::atomic::{AtomicBool, Ordering as O};
+        // BOHM's roles in miniature. This thread is the owning CC thread:
+        // it installs versions `begin = i + 1, value = i` from a pool,
+        // publishes each as `installed`, and every 16 installs truncates
+        // under the watermark `min(finished)` into that pool, so truncated
+        // versions come back as new heads while the readers run. Each
+        // reader is an execution thread: it reads at strictly increasing
+        // timestamps above its own `finished`, wandering up to 50 versions
+        // back, and Release-publishes each timestamp once its read is done.
+        // A version recycled under a reader would change `begin`, turn
+        // `Pending` or carry another value, failing the checks below.
+        use bohm_sync::atomic::{AtomicU64, Ordering as O};
         use std::sync::Arc;
+        const READERS: usize = 3;
+        const LAST: u64 = 4000;
         let c = Arc::new(Chain::new());
         {
             let g = epoch::pin();
             c.install(ready(1, 0), &g);
         }
-        let stop = Arc::new(AtomicBool::new(false));
+        let installed = Arc::new(AtomicU64::new(1));
+        let finished: Arc<Vec<AtomicU64>> =
+            Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
         let mut handles = Vec::new();
-        for t in 0..3 {
-            let c = Arc::clone(&c);
-            let stop = Arc::clone(&stop);
+        for r in 0..READERS {
+            let (c, installed, finished) = (
+                Arc::clone(&c),
+                Arc::clone(&installed),
+                Arc::clone(&finished),
+            );
             handles.push(std::thread::spawn(move || {
+                let mut done = 0u64;
                 let mut reads = 0u64;
-                while !stop.load(O::Relaxed) {
-                    let g = epoch::pin();
-                    // Read at a wandering timestamp; value must equal ts-1
-                    // for the versions this writer produces (value i at
-                    // begin i+1 ⇒ visible(ts) has value = begin-1 ≤ ts-1).
-                    let ts = 2 + (reads % 50);
-                    if let Some(v) = c.visible(ts, &g) {
-                        // begin and data are immutable; end may have been
-                        // superseded after the visibility decision, so it is
-                        // deliberately not re-checked here.
-                        assert!(v.begin() < ts);
-                        let val = get_u64(v.data(), 0);
-                        assert_eq!(val, v.begin() - 1);
+                while done <= LAST {
+                    let h = installed.load(O::Acquire);
+                    let ts = (done + 1).max((h + 1).saturating_sub(reads % 50));
+                    if ts > h + 1 {
+                        std::hint::spin_loop(); // caught up with the writer
+                        continue;
                     }
+                    let g = epoch::pin();
+                    let v = c.visible(ts, &g).expect("every ts > 1 sees a version");
+                    assert!(v.begin() < ts && v.end() >= ts, "visible({ts}): {v:?}");
+                    assert_eq!(get_u64(v.data(), 0), v.begin() - 1);
+                    drop(g);
+                    done = ts;
+                    finished[r].store(done, O::Release);
                     reads += 1;
-                    std::hint::spin_loop();
-                    let _ = t;
                 }
             }));
         }
-        // Single writer thread (this one): install + truncate.
-        for i in 1..2000u64 {
+        // Start installing only once every reader runs, so the truncations
+        // below overlap live reads.
+        while finished.iter().any(|f| f.load(O::Acquire) == 0) {
+            std::hint::spin_loop();
+        }
+        let mut pool = VersionPool::new();
+        let mut recycled = 0;
+        for i in 1..LAST {
             let g = epoch::pin();
-            c.install(ready(i + 1, i), &g);
-            if i % 64 == 0 {
-                // Nothing newer than ts 52 is read by the readers above.
-                c.truncate(52.min(i), &g);
+            let v = c.install(pool.placeholder(i + 1, 8), &g);
+            // SAFETY: just installed by this thread; only it truncates.
+            unsafe { v.as_ref() }.unwrap().fill(&of_u64(i, 8));
+            installed.store(i + 1, O::Release);
+            if i % 16 == 0 {
+                let bound = finished.iter().map(|f| f.load(O::Acquire)).min().unwrap();
+                // SAFETY: every reader Release-published `finished` after its
+                // last read at or below it and reads only above it; `bound`
+                // is an Acquire load of the minimum (the watermark rule).
+                recycled += unsafe { c.truncate(bound, &g, &mut pool) };
             }
         }
-        stop.store(true, O::Relaxed);
         for h in handles {
             h.join().unwrap();
         }
+        let g = epoch::pin();
+        recycled += truncate(&c, LAST, &g, &mut pool);
+        assert_eq!(c.depth(&g), 1);
+        assert_eq!(
+            recycled as u64,
+            LAST - 1,
+            "every superseded version recycled"
+        );
     }
 }

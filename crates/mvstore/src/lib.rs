@@ -13,18 +13,20 @@
 //!   [`DenseIndex`], the fixed-size array alternative (§4: the baselines'
 //!   array index; used here for ablations).
 //!
-//! Physical reclamation uses `crossbeam-epoch`, mirroring the paper's
-//! RCU-based garbage collection (§3.3.2). *Logical* reclamation safety comes
-//! from Condition 3 (batch low-watermark): by the time a version is
-//! truncated, no active or future transaction can resolve to it. The epoch
-//! guard additionally protects physically-overlapping chain traversals
-//! (e.g. a reader walking past the truncation point because no version is
-//! visible at its timestamp).
+//! Reclamation follows paper Condition 3 (batch low watermark): once the
+//! GC bound passes a version's `end`, no active or future transaction can
+//! reach it, so [`Chain::truncate`] hands it straight to the owning CC
+//! thread's [`VersionPool`] for reuse as a later placeholder (the
+//! watermark rule in [`chain`]). `crossbeam-epoch` still guards what is
+//! freed outside that rule: hash-index entries, together with the chains
+//! inside them, retired by the CC threads' key sweep.
 
 pub mod chain;
 pub mod index;
+pub mod pool;
 pub mod version;
 
 pub use chain::Chain;
 pub use index::{DenseIndex, HashIndex, VersionIndex};
+pub use pool::VersionPool;
 pub use version::{Version, VersionState};

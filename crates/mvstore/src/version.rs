@@ -9,11 +9,15 @@
 //! producer *is* the transaction whose timestamp equals `begin`, so the
 //! engine resolves blocked reads by looking the timestamp up in its batch
 //! window.
+//!
+//! Truncated versions are not freed: the owning CC thread's
+//! [`VersionPool`](crate::pool::VersionPool) re-arms them as placeholders
+//! for later writes (`Version::rearm`).
 
 use bohm_common::{Timestamp, INFINITY_TS};
 use bohm_sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use bohm_sync::cell::UnsafeCell;
 use crossbeam_epoch::Atomic;
-use std::cell::UnsafeCell;
 
 /// Lifecycle of a version's payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -30,16 +34,19 @@ pub enum VersionState {
 
 /// One version of one record.
 ///
-/// NOTE on layout: an earlier revision cache-line-aligned this struct
-/// (`repr(align(64))`), but 64-byte-aligned heap allocations take glibc's
-/// slow aligned path and measurably bottlenecked the CC threads (~5 µs per
-/// placeholder). The natural 8-byte alignment keeps allocation on the
-/// malloc fast path; the fields that racing threads touch are still grouped
-/// at the front of the object.
+/// NOTE on layout: the struct keeps its natural 8-byte alignment, with the
+/// fields that racing threads touch grouped at the front. An earlier
+/// revision cache-line-aligned it (`repr(align(64))`) when every write
+/// allocated a fresh version, and glibc's slow aligned-allocation path
+/// bottlenecked the CC threads (~5 µs per placeholder). Steady-state
+/// writes now recycle truncated versions through the CC thread's
+/// [`VersionPool`](crate::pool::VersionPool) and allocate nothing; only
+/// pool misses (warm-up, chain growth) still go to the allocator.
 pub struct Version {
-    /// Timestamp of the creating transaction (immutable). Doubles as the
-    /// paper's *txn pointer*: the producer is the transaction at this
-    /// position of the input log.
+    /// Timestamp of the creating transaction, fixed while the version is
+    /// linked (only [`rearm`](Self::rearm), on an unlinked version, resets
+    /// it). Doubles as the paper's *txn pointer*: the producer is the
+    /// transaction at this position of the input log.
     begin: Timestamp,
     /// Timestamp of the invalidating transaction; [`INFINITY_TS`] while this
     /// is the latest version. Written only by the owning CC thread; read by
@@ -53,7 +60,8 @@ pub struct Version {
     /// Record payload. Single-writer discipline: only the execution thread
     /// that holds the producing transaction's `Executing` state writes here,
     /// before the `Ready` release-store; readers only look after an
-    /// acquire-load observes `Ready`/`Tombstone`.
+    /// acquire-load observes `Ready`/`Tombstone`. The facade cell lets the
+    /// model checker's race detector see every fill, read and re-arm.
     data: UnsafeCell<Box<[u8]>>,
 }
 
@@ -128,10 +136,29 @@ impl Version {
         self.state.load(Ordering::Acquire) != VersionState::Pending as u32
     }
 
+    /// Re-arm an unlinked version as a fresh placeholder for a write by
+    /// transaction `begin`: `end = ∞`, `Pending`, no predecessor, payload
+    /// zeroed — the state [`placeholder`](Self::placeholder) builds, without
+    /// allocating. The payload length is kept.
+    pub(crate) fn rearm(&mut self, begin: Timestamp) {
+        self.begin = begin;
+        *self.end.get_mut() = INFINITY_TS;
+        *self.state.get_mut() = VersionState::Pending as u32;
+        let unlinked = crossbeam_epoch::Shared::null();
+        // RELAXED: `&mut self` — the version is unlinked and thread-private;
+        // the install that republishes it is a Release store.
+        self.prev.store(unlinked, Ordering::Relaxed);
+        // SAFETY: `&mut self` excludes every other access. The tracked
+        // accessor (not `get_mut`) makes the reset a write the model
+        // checker orders against the last reader of the previous life.
+        unsafe { self.data.with_mut(|d| (*d).fill(0)) };
+    }
+
     /// Payload length (fixed per table).
     pub fn len(&self) -> usize {
         // SAFETY: the box itself (ptr+len) is written only at construction;
-        // concurrent writers only touch the pointed-to bytes.
+        // concurrent writers only touch the pointed-to bytes. Untracked on
+        // purpose: reading the length does not race a fill.
         unsafe { (&*self.data.get()).len() }
     }
 
@@ -152,11 +179,10 @@ impl Version {
             self.state.load(Ordering::Relaxed),
             VersionState::Pending as u32
         );
+        debug_assert_eq!(self.len(), src.len(), "fixed-size records per table");
         // SAFETY: unique producer per the protocol above; readers are
         // excluded until the release-store below.
-        let dst = unsafe { &mut *self.data.get() };
-        debug_assert_eq!(dst.len(), src.len(), "fixed-size records per table");
-        dst.copy_from_slice(src);
+        unsafe { self.data.with_mut(|d| (*d).copy_from_slice(src)) };
         self.state
             .store(VersionState::Ready as u32, Ordering::Release);
     }
@@ -171,8 +197,7 @@ impl Version {
             VersionState::Pending as u32
         );
         // SAFETY: see `fill`.
-        let dst = unsafe { &mut *self.data.get() };
-        f(dst);
+        unsafe { self.data.with_mut(|d| f(&mut *d)) };
         self.state
             .store(VersionState::Ready as u32, Ordering::Release);
     }
@@ -193,11 +218,15 @@ impl Version {
     }
 
     /// The previous (older) version, if still linked.
+    ///
+    /// Callers follow the watermark rule of [`crate::chain`]: only a reader
+    /// whose timestamp is above the GC bound may hold the result (the
+    /// predecessor of a version it can see ends at or above its timestamp,
+    /// so truncation cannot recycle it under the reader).
     #[inline]
     pub fn prev<'g>(&self, guard: &'g crossbeam_epoch::Guard) -> Option<&'g Version> {
-        // SAFETY: `prev` edges are only unlinked by the owning CC thread's
-        // truncate, which defers destruction — anything loaded under
-        // `guard` stays live for the guard's lifetime.
+        // SAFETY: the watermark rule above keeps the predecessor linked,
+        // hence un-recycled, for as long as the caller may use it.
         unsafe { self.prev.load(Ordering::Acquire, guard).as_ref() }
     }
 
@@ -238,8 +267,9 @@ impl Version {
         );
         // SAFETY: `Ready`/`Tombstone` are terminal states published with
         // release ordering; after the acquire-load above the payload is
-        // immutable.
-        unsafe { &*self.data.get() }
+        // immutable until the version is truncated and re-armed, which
+        // the watermark rule orders after every reader (see `crate::chain`).
+        unsafe { self.data.with(|d| &**d) }
     }
 }
 
@@ -303,6 +333,21 @@ mod tests {
         let v = Version::ready(100, bohm_common::value::of_u64(1, 8));
         v.supersede(200);
         assert_eq!(v.end(), 200);
+    }
+
+    #[test]
+    fn rearm_resets_a_used_version_to_a_fresh_placeholder() {
+        let mut v = Version::placeholder(1, 8);
+        v.fill(&9u64.to_le_bytes());
+        v.supersede(7);
+        v.rearm(40);
+        assert_eq!(v.begin(), 40);
+        assert_eq!(v.end(), INFINITY_TS);
+        assert_eq!(v.state(), VersionState::Pending);
+        assert_eq!(v.len(), 8);
+        v.fill_tombstone();
+        v.rearm(41);
+        v.fill_with(|d| assert!(d.iter().all(|&b| b == 0), "payload zeroed"));
     }
 
     #[test]

@@ -241,21 +241,6 @@ impl Guard {
         let call: Box<dyn FnOnce()> = unsafe { std::mem::transmute(call) };
         global().defer(Deferred { call });
     }
-
-    /// Defer dropping the heap allocation behind `ptr`.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must come from `Owned::new` (i.e. `Box`) and be unreachable
-    /// from every shared structure by the time the grace period elapses.
-    pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
-        let raw = ptr.ptr;
-        debug_assert!(!raw.is_null());
-        // SAFETY: forwarded from the caller's contract.
-        unsafe {
-            self.defer_unchecked(move || drop(Box::from_raw(raw)));
-        }
-    }
 }
 
 impl Drop for Guard {
@@ -291,12 +276,23 @@ impl<T> Owned<T> {
         }
     }
 
+    /// The heap allocation, back in a `Box`.
+    pub fn into_box(self) -> Box<T> {
+        self.boxed
+    }
+
     /// Publishable pointer; ownership moves into shared space.
     pub fn into_shared<'g>(self, _guard: &'g Guard) -> Shared<'g, T> {
         Shared {
             ptr: Box::into_raw(self.boxed),
             _marker: PhantomData,
         }
+    }
+}
+
+impl<T> From<Box<T>> for Owned<T> {
+    fn from(b: Box<T>) -> Self {
+        Self { boxed: b }
     }
 }
 
@@ -402,6 +398,17 @@ mod tests {
     }
 
     #[test]
+    fn owned_box_roundtrip_keeps_the_allocation() {
+        let b = Box::new(5u64);
+        let addr: *const u64 = &*b;
+        let mut o = Owned::from(b);
+        *o += 1;
+        let b = o.into_box();
+        assert_eq!(*b, 6);
+        assert_eq!(&*b as *const u64, addr, "no reallocation either way");
+    }
+
+    #[test]
     fn atomic_store_load() {
         let a: Atomic<u32> = Atomic::null();
         let g = pin();
@@ -430,7 +437,7 @@ mod tests {
             let s = Owned::new(Counts).into_shared(&g);
             // SAFETY: `s` is unlinked (never published); no later reader
             // can reach it, so deferred destruction is sound.
-            unsafe { g.defer_destroy(s) };
+            unsafe { g.defer_unchecked(move || drop(s.into_owned())) };
         }
         // Drive the collector: repeated pin/defer cycles must eventually
         // advance the epoch twice and run the free.
@@ -460,7 +467,7 @@ mod tests {
         let outer = pin();
         let s = Owned::new(Flag).into_shared(&outer);
         // SAFETY: `s` was never published; nothing else can reach it.
-        unsafe { outer.defer_destroy(s) };
+        unsafe { outer.defer_unchecked(move || drop(s.into_owned())) };
         // Hammer the collector from another thread; the outer pin must hold
         // the free back the whole time.
         let stop = Arc::new(AtomicUsize::new(0));
@@ -557,7 +564,7 @@ mod tests {
             head.store(n.next.load(Ordering::Acquire, &g), Ordering::Release);
             // SAFETY: `top` was just unlinked by its sole writer; readers
             // that still hold it are pinned, which defers the free.
-            unsafe { g.defer_destroy(top) };
+            unsafe { g.defer_unchecked(move || drop(top.into_owned())) };
             popped += 1;
         }
         assert_eq!(popped, 1_000);

@@ -420,6 +420,19 @@ fn dead_panic() -> ! {
     panic!("bohm-sync model: execution torn down after a failure (see the primary report)");
 }
 
+/// After teardown, a thread that is already unwinding leaves the model
+/// instead of panicking again: the rest of its unwinding (epoch-guard and
+/// lock-guard destructors) runs on the real primitives, so the primary
+/// failure and its replay seed get reported instead of the process
+/// aborting on a panic inside a destructor. Returns whether it left.
+fn leave_if_unwinding() -> bool {
+    let unwinding = std::thread::panicking();
+    if unwinding {
+        set_current(None);
+    }
+    unwinding
+}
+
 // ---------------------------------------------------------------------------
 // Scheduling entry points
 // ---------------------------------------------------------------------------
@@ -439,6 +452,9 @@ pub(crate) fn yield_point() {
     }
     if st.dead {
         drop(st);
+        if leave_if_unwinding() {
+            return;
+        }
         dead_panic();
     }
     st.steps += 1;
@@ -475,6 +491,9 @@ fn switch_from(st: std::sync::MutexGuard<'_, RtState>, me: usize, next: usize) {
     let st = lock_state();
     if st.dead {
         drop(st);
+        if leave_if_unwinding() {
+            return;
+        }
         dead_panic();
     }
 }

@@ -13,10 +13,13 @@
 //!   data race with a stable, replayable seed; the correct variant must
 //!   survive exploration; and identical seeds must replay identical
 //!   schedules (the determinism contract the replay workflow rests on).
-//! * **mvstore chain model** — single-writer install/truncate racing a
-//!   reader's `visible` walks: the visibility predicate and the
-//!   unlink-before-defer reclamation protocol hold in every explored
-//!   schedule.
+//! * **mvstore chain models** — single-writer install/truncate racing a
+//!   reader's `visible` walks, with the truncation bound Acquire-loaded
+//!   from the reader's Release-published finished timestamp (the GC
+//!   watermark contract): the visibility predicate holds in every explored
+//!   schedule, and `truncate_recycle_vs_reader` proves that recycling a
+//!   truncated version into a new placeholder is ordered after the last
+//!   reader of its previous life (the race detector watches the payload).
 //! * **lock-manager model** — `RwSpin` guarding a facade
 //!   [`UnsafeCell`](bohm_sync::cell::UnsafeCell) payload: the vector-clock
 //!   detector proves the lock's Acquire/Release edges actually order the
@@ -98,50 +101,83 @@ fn identical_seeds_replay_identical_schedules() {
 
 mod chain {
     use super::*;
-    use bohm_mvstore::{Chain, Version};
+    use bohm_common::value::{get_u64, of_u64};
+    use bohm_mvstore::{Chain, Version, VersionPool};
+    use bohm_sync::atomic::{AtomicU64, Ordering};
     use crossbeam_epoch as epoch;
 
-    fn payload(x: u64) -> Box<[u8]> {
-        bohm_common::value::of_u64(x, 8)
+    fn ready(ts: u64) -> epoch::Owned<Version> {
+        epoch::Owned::new(Version::ready(ts, of_u64(ts, 8)))
     }
 
-    /// The owning CC thread installs versions at ts 5 and 9 over a seeded
-    /// ts-1 version, then truncates at bound 8 (unlinking the superseded
-    /// ts-1 version). A reader walks `visible` at timestamps spanning the
-    /// whole history. In every schedule a hit must satisfy the visibility
-    /// predicate `begin < ts ≤ end`, and the walk must never touch freed
-    /// memory (truncation unlinks before deferring destruction).
+    /// BOHM's pipeline on one chain, under the GC watermark contract. The
+    /// chain holds `[5, 1]` (batch 1's CC phase is done). The reader is an
+    /// execution thread: it runs batch 1's reads at ts 2 and 6 while the
+    /// owning CC thread installs batch 2's write at ts 9, then
+    /// Release-publishes 8 (batch 1's last ts) as its finished timestamp.
+    /// Once the CC thread has Release-published batch 2 as planned, the
+    /// reader runs batch 2's reads at ts 9 (an RMW's predecessor, `end =
+    /// ts`) and 100, racing the CC thread's truncation under the bound it
+    /// Acquire-loads from the reader. In every schedule a hit must satisfy
+    /// the visibility predicate `begin < ts ≤ end` and carry its own
+    /// payload, and no walk may reach the truncated ts-1 version.
     fn install_truncate_scan() {
         let chain = Arc::new(Chain::new());
         {
             let g = epoch::pin();
-            chain.install(epoch::Owned::new(Version::ready(1, payload(1))), &g);
+            chain.install(ready(1), &g);
+            chain.install(ready(5), &g);
         }
+        let finished = Arc::new(AtomicU64::new(0));
+        let planned = Arc::new(AtomicU64::new(0));
         let writer = {
-            let chain = Arc::clone(&chain);
+            let (chain, finished, planned) = (
+                Arc::clone(&chain),
+                Arc::clone(&finished),
+                Arc::clone(&planned),
+            );
             bohm_sync::thread::spawn(move || {
                 let g = epoch::pin();
-                chain.install(epoch::Owned::new(Version::ready(5, payload(5))), &g);
-                chain.install(epoch::Owned::new(Version::ready(9, payload(9))), &g);
-                chain.truncate(8, &g);
+                let mut pool = VersionPool::new();
+                chain.install(ready(9), &g);
+                planned.store(9, Ordering::Release);
+                let bound = finished.load(Ordering::Acquire);
+                // SAFETY: the reader reads at or below 8 only before its
+                // Release publish of 8, and above it after; `bound` is an
+                // Acquire load of that publish (the watermark rule).
+                unsafe { chain.truncate(bound, &g, &mut pool) };
             })
         };
         let reader = {
-            let chain = Arc::clone(&chain);
+            let (chain, finished, planned) = (
+                Arc::clone(&chain),
+                Arc::clone(&finished),
+                Arc::clone(&planned),
+            );
             bohm_sync::thread::spawn(move || {
-                for ts in [2u64, 6, 10, 100] {
+                let read = |ts: u64| {
                     let g = epoch::pin();
-                    if let Some(v) = chain.visible(ts, &g) {
-                        assert!(v.begin() < ts, "visible({ts}) returned begin {}", v.begin());
-                        assert!(v.end() >= ts, "visible({ts}) returned end {}", v.end());
-                    }
+                    let v = chain.visible(ts, &g).expect("every ts > 1 sees a version");
+                    assert!(v.begin() < ts, "visible({ts}) returned begin {}", v.begin());
+                    assert!(v.end() >= ts, "visible({ts}) returned end {}", v.end());
+                    assert_eq!(get_u64(v.data(), 0), v.begin());
+                };
+                read(2);
+                read(6);
+                finished.store(8, Ordering::Release);
+                if planned.load(Ordering::Acquire) == 9 {
+                    read(9);
+                    read(100);
                 }
             })
         };
         writer.join().unwrap();
         reader.join().unwrap();
-        // Quiescent state: [9, 5] — ts 1 truncated, the rest intact.
+        // Quiescent state: [9, 5] once truncated at 8 (the writer may have
+        // loaded the bound before it was published and truncated nothing).
         let g = epoch::pin();
+        // SAFETY: both threads joined; no reader is left.
+        unsafe { chain.truncate(8, &g, &mut VersionPool::new()) };
         assert_eq!(chain.depth(&g), 2);
         let latest = chain.visible(100, &g).expect("latest version survives");
         assert_eq!(latest.begin(), 9);
@@ -151,6 +187,66 @@ mod chain {
     #[test]
     fn install_truncate_vs_scan_explored() {
         model::explore(model::Options::default(), install_truncate_scan);
+    }
+
+    /// Watermark recycling, end to end. The chain holds `[5, 1]`. An
+    /// execution-role thread runs the RMW read of a transaction at ts 5 —
+    /// `visible(5)` is the ts-1 version, whose `end = 5` — reads its
+    /// payload, then Release-publishes 5 as its finished timestamp. The
+    /// CC-role thread Acquire-loads that as its GC bound, truncates into
+    /// its pool (recycling the ts-1 version once the bound reaches 5) and
+    /// re-installs the pooled version as the placeholder of a write at
+    /// ts 9, which re-arming zeroes and filling overwrites. The payload is
+    /// a race-detector-tracked cell, so if either edge of the watermark
+    /// chain were weaker, the reuse would be reported as a data race
+    /// against the reader's payload read.
+    fn truncate_recycle_vs_reader() {
+        let chain = Arc::new(Chain::new());
+        {
+            let g = epoch::pin();
+            chain.install(ready(1), &g);
+            chain.install(ready(5), &g);
+        }
+        let finished = Arc::new(AtomicU64::new(0));
+        let exec = {
+            let (chain, finished) = (Arc::clone(&chain), Arc::clone(&finished));
+            bohm_sync::thread::spawn(move || {
+                {
+                    let g = epoch::pin();
+                    let v = chain.visible(5, &g).expect("the RMW predecessor");
+                    assert_eq!((v.begin(), v.end()), (1, 5));
+                    assert_eq!(get_u64(v.data(), 0), 1);
+                }
+                finished.store(5, Ordering::Release);
+            })
+        };
+        let cc = {
+            let (chain, finished) = (Arc::clone(&chain), Arc::clone(&finished));
+            bohm_sync::thread::spawn(move || {
+                let g = epoch::pin();
+                let mut pool = VersionPool::new();
+                let bound = finished.load(Ordering::Acquire);
+                // SAFETY: the reader's only read precedes its Release
+                // publish of 5, and `bound` is an Acquire load of it.
+                let recycled = unsafe { chain.truncate(bound, &g, &mut pool) };
+                assert_eq!(recycled, usize::from(bound >= 5));
+                let v = chain.install(pool.placeholder(9, 8), &g);
+                // SAFETY: just installed by this (owning) thread.
+                unsafe { v.as_ref() }.unwrap().fill(&of_u64(9, 8));
+                assert!(pool.is_empty(), "a recycled version is reused first");
+            })
+        };
+        exec.join().unwrap();
+        cc.join().unwrap();
+        let g = epoch::pin();
+        let head = chain.visible(100, &g).expect("the ts-9 write");
+        assert_eq!((head.begin(), get_u64(head.data(), 0)), (9, 9));
+        assert_eq!(get_u64(chain.visible(9, &g).unwrap().data(), 0), 5);
+    }
+
+    #[test]
+    fn truncate_recycle_vs_reader_explored() {
+        model::explore(model::Options::default(), truncate_recycle_vs_reader);
     }
 }
 
