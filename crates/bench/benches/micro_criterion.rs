@@ -59,40 +59,24 @@ fn bench_zipf() {
 
 fn bench_chain() {
     use bohm_mvstore::{Chain, Version};
-    use crossbeam_epoch as epoch;
+    let ready = |ts| Box::new(Version::ready(ts, bohm_common::value::of_u64(ts, 8)));
     bench("version_chain/install_64", || {
         let chain = Chain::new();
-        let guard = epoch::pin();
         for ts in 1..=64u64 {
-            chain.install(
-                epoch::Owned::new(Version::ready(ts, bohm_common::value::of_u64(ts, 8))),
-                &guard,
-            );
+            chain.install(ready(ts));
         }
         black_box(&chain);
     });
     let chain = Chain::new();
-    {
-        let guard = epoch::pin();
-        for ts in 1..=128u64 {
-            chain.install(
-                epoch::Owned::new(Version::ready(ts, bohm_common::value::of_u64(ts, 8))),
-                &guard,
-            );
-        }
+    for ts in 1..=128u64 {
+        chain.install(ready(ts));
     }
-    {
-        let guard = epoch::pin();
-        bench("version_chain/visible_latest", || {
-            black_box(chain.visible(black_box(1_000), &guard));
-        });
-    }
-    {
-        let guard = epoch::pin();
-        bench("version_chain/visible_deep", || {
-            black_box(chain.visible(black_box(2), &guard));
-        });
-    }
+    bench("version_chain/visible_latest", || {
+        black_box(chain.visible(black_box(1_000)));
+    });
+    bench("version_chain/visible_deep", || {
+        black_box(chain.visible(black_box(2)));
+    });
 }
 
 fn bench_locks() {

@@ -23,14 +23,12 @@
 
 use crate::batch::TxnState;
 use bohm_common::{AbortReason, Access};
-use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
+use bohm_mvstore::{PartitionedIndex, Version, VersionState};
 use bohm_sync::atomic::Ordering;
-use crossbeam_epoch::Guard;
 
 pub(crate) struct BohmAccess<'a> {
     pub t: &'a TxnState,
-    pub index: &'a HashIndex,
-    pub guard: &'a Guard,
+    pub index: &'a PartitionedIndex,
     /// `Inner::deletes_seen` — bumped when a tombstone is published, which
     /// arms the CC threads' key sweep (a pure gate; see `cc::sweep_keys`).
     pub deletes: &'a bohm_sync::atomic::AtomicU64,
@@ -62,9 +60,7 @@ impl BohmAccess<'_> {
         // Fallback traversal (annotations disabled, or record not yet
         // present at CC time).
         let rid = self.t.txn.reads[idx];
-        self.index
-            .get(rid, self.guard)?
-            .visible(self.t.ts, self.guard)
+        self.index.get(rid)?.visible(self.t.ts)
     }
 }
 
@@ -149,11 +145,7 @@ impl Access for BohmAccess<'_> {
             };
             let v = if ptr.is_null() {
                 let rid = s.rid(row);
-                match self
-                    .index
-                    .get(rid, self.guard)
-                    .and_then(|c| c.visible(self.t.ts, self.guard))
-                {
+                match self.index.get(rid).and_then(|c| c.visible(self.t.ts)) {
                     Some(v) => v,
                     None => continue,
                 }
@@ -217,11 +209,7 @@ impl Access for BohmAccess<'_> {
                 table: s.table,
                 row,
             };
-            let Some(v) = self
-                .index
-                .get(rid, self.guard)
-                .and_then(|c| c.visible(self.t.ts, self.guard))
-            else {
+            let Some(v) = self.index.get(rid).and_then(|c| c.visible(self.t.ts)) else {
                 continue; // contract violation tolerance: skip
             };
             if !v.is_resolved() {

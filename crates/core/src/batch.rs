@@ -368,9 +368,8 @@ pub struct TxnState {
     /// inserted it, so it is absent at this timestamp (later inserts are
     /// *ordered after* the scan by the CC pass, not phantoms).
     ///
-    /// Annotation is subject to the same knobs as reads: with
-    /// `annotate_reads` off, or for a range wider than
-    /// `annotate_max_reads`, the inner slice is **empty** (nothing is
+    /// Annotation is subject to the same knob as reads: for a range wider
+    /// than `annotate_max_reads`, the inner slice is **empty** (nothing is
     /// allocated or annotated — a declared terabyte-wide range must not
     /// allocate a pointer per slot) and the executor's ts-filtered
     /// fallback probe serves every row with identical semantics.
@@ -415,9 +414,7 @@ impl TxnState {
             txn.scans
                 .iter()
                 .map(|s| {
-                    // `annotate_max_reads` arrives as 0 when annotate_reads
-                    // is off, so both knobs gate here; an empty slice marks
-                    // the scan as fallback-only.
+                    // An empty slice marks the scan as fallback-only.
                     if s.len() as usize <= annotate_max_reads {
                         nulls(arena, s.len() as usize)
                     } else {

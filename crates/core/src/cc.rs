@@ -11,12 +11,15 @@
 //! * opportunistically truncate the record's dead version tail under the
 //!   Condition-3 GC bound (§3.3.2 — GC triggers on update).
 //!
-//! Each CC thread owns a [`VersionPool`]: truncated versions go into it and
-//! come back out as the placeholders of later writes, so a warm CC thread
-//! neither allocates nor defers frees per write. The GC bound a truncation
-//! uses is always an Acquire load — the edge that orders every finished
-//! reader of a truncated version before its reuse (the watermark rule in
-//! `bohm_mvstore::chain`).
+//! Each CC thread is the only writer of its partition's hash index
+//! (`bohm_mvstore::PartitionedIndex`) and owns a [`VersionPool`]:
+//! truncated versions go into it and come back out as the placeholders of
+//! later writes, so a warm CC thread neither allocates nor defers frees
+//! per write. The GC bound a truncation or an entry free uses is always
+//! an Acquire load — the edge that orders every finished reader of a
+//! truncated version or a retired key before its reuse (the watermark
+//! rules in `bohm_mvstore::chain` and `bohm_mvstore::index`). No CC or
+//! execution thread takes an epoch pin.
 //!
 //! The per-transaction scan iterates the sequencer-built packed plan
 //! (see `PlanEntry` in `crate::batch`): every CC thread examines
@@ -32,26 +35,28 @@
 
 use crate::batch::Batch;
 use crate::engine::Inner;
-use bohm_common::RecordId;
-use bohm_mvstore::{Version, VersionIndex, VersionPool};
+use bohm_common::{RecordId, Timestamp};
+use bohm_mvstore::{Chain, Version, VersionPool};
 use bohm_sync::atomic::Ordering;
-use crossbeam_epoch as epoch;
 use std::sync::Arc;
+
+/// Index buckets of its own partition a CC thread sweeps per batch for
+/// reclaimable keys. A [`BohmConfig::small`](crate::BohmConfig::small)
+/// engine has 512 buckets per partition, so one sweep per batch covers it.
+pub(crate) const KEY_SWEEP_BUCKETS: usize = 512;
 
 /// Main loop of CC thread `me`: every batch in id order, until the
 /// sequencer closes the window.
 pub(crate) fn cc_loop(inner: Arc<Inner>, me: usize) {
     let mut probe_tick = me as u64; // desynchronize threads' probe phases
-                                    // Round-robin cursor of this thread's key-reclamation sweep (each CC
-                                    // thread eventually visits every bucket, reclaiming only its own keys).
-    let mut sweep_cursor = 0usize;
+    let mut sweep_cursor = 0usize; // round-robin over this partition's buckets
     let mut pool = VersionPool::new();
     let mut next = 0u64;
     while let Some(batch) = inner.window.next_sealed(next) {
         next += 1;
         let t0 = std::time::Instant::now();
         process_batch(&inner, me, &batch, &mut probe_tick, &mut pool);
-        sweep_keys(&inner, me, &mut sweep_cursor, &mut pool);
+        sweep_keys(&inner, me, batch.last_ts(), &mut sweep_cursor, &mut pool);
         inner
             .cc_busy_ns
             // RELAXED: monotonic statistics counter.
@@ -60,22 +65,31 @@ pub(crate) fn cc_loop(inner: Arc<Inner>, me: usize) {
     }
 }
 
-/// Key reclamation: retire fully-deleted keys this thread owns.
+/// Key reclamation: retire fully-deleted keys of this thread's partition.
 ///
 /// A key is reclaimable once (a) its chain is exactly one *committed
 /// tombstone* with `begin ≤ gc_bound` — every transaction that could still
 /// need to observe the deletion (or anything under it) has executed — and
 /// (b) `annotated_ts ≤ gc_bound` — every transaction this thread ever
 /// handed a raw annotation pointer into the chain has executed too (the
-/// annotation-safe lifetime rule; annotations are not epoch-protected).
-/// Only the key's partition owner may judge this, because only it installs
-/// into the chain: owner-run reclamation cannot race an install. Dead
-/// suffixes are truncated first so a deleted-then-idle key can reach its
-/// sole-tombstone shape without waiting for a write probe that will never
-/// come.
-pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mut VersionPool) {
-    let budget = inner.config.key_gc_buckets;
-    if budget == 0 || !inner.config.enable_gc {
+/// annotation-safe lifetime rule). Only the key's partition owner judges
+/// this, because only it installs into the chain and writes the
+/// partition's index. Dead suffixes are truncated first so a
+/// deleted-then-idle key can reach its sole-tombstone shape without
+/// waiting for a write probe that will never come.
+///
+/// Unlinked entries are freed, and their chains recycled into `pool`,
+/// once the GC bound reaches `grace` — the last timestamp of the batch
+/// this thread is running CC for: every execution that could still find
+/// the entry belongs to an earlier batch.
+pub(crate) fn sweep_keys(
+    inner: &Inner,
+    me: usize,
+    grace: Timestamp,
+    cursor: &mut usize,
+    pool: &mut VersionPool,
+) {
+    if !inner.config.enable_gc {
         return;
     }
     // No tombstone has ever been produced ⇒ no key can be in the
@@ -85,28 +99,31 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mu
     if inner.deletes_seen.load(Ordering::Relaxed) == 0 {
         return;
     }
+    let part = inner.index.partition(me);
+    // SAFETY: this thread is partition `me`'s only writer, and `gc_bound`
+    // is the engine's low watermark: each execution thread Release-stores
+    // its finished timestamp after its last access to a batch, and
+    // `exec::refresh_gc_bound` Acquire-loads those before Release-storing
+    // their minimum.
+    unsafe { part.free_unlinked(&inner.gc_bound, pool) };
     // Acquire: orders every finished reader before both the key
     // retirement and the version recycling below.
     let bound = inner.gc_bound.load(Ordering::Acquire);
     if bound == 0 {
         return;
     }
-    let m = inner.config.cc_threads;
-    let guard = epoch::pin();
     let mut versions = 0usize;
-    let retired = inner
-        .index
-        .sweep_retire(*cursor, budget, &guard, &mut |rid, chain| {
-            if (rid.stable_hash() >> 32) % m as u64 != me as u64 {
-                return false;
-            }
-            // SAFETY: this thread owns the key's partition, and `bound`
-            // was Acquire-loaded from the GC bound (the watermark rule).
-            versions += unsafe { chain.truncate(bound, &guard, pool) };
-            chain.annotated_ts() <= bound
-                && chain.sole_tombstone(&guard).is_some_and(|b| b <= bound)
-        });
-    *cursor = (*cursor + budget.min(inner.index.bucket_count())) % inner.index.bucket_count();
+    let mut reclaim = |_: RecordId, chain: &Chain| {
+        // SAFETY: this thread owns the chain, and `bound` was
+        // Acquire-loaded from the GC bound (the watermark rule).
+        versions += unsafe { chain.truncate(bound, pool) };
+        chain.annotated_ts() <= bound && chain.sole_tombstone().is_some_and(|b| b <= bound)
+    };
+    // SAFETY: this thread is partition `me`'s only writer, and `grace` is
+    // the last timestamp of the batch in CC (the watermark rule for
+    // entries in `bohm_mvstore::index`).
+    let retired = unsafe { part.sweep_retire(*cursor, KEY_SWEEP_BUCKETS, grace, &mut reclaim) };
+    *cursor = (*cursor + KEY_SWEEP_BUCKETS) % part.bucket_count();
     if versions > 0 {
         inner
             .gc_retired
@@ -114,7 +131,7 @@ pub(crate) fn sweep_keys(inner: &Inner, me: usize, cursor: &mut usize, pool: &mu
             .fetch_add(versions as u64, Ordering::Relaxed);
     }
     if retired > 0 {
-        // Each retired key frees its sole tombstone with the entry.
+        // Each retired key recycles its sole tombstone with the entry.
         inner
             .gc_retired
             // RELAXED: monotonic statistics counter.
@@ -135,11 +152,10 @@ pub(crate) fn process_batch(
     probe_tick: &mut u64,
     pool: &mut VersionPool,
 ) {
-    let mut guard = epoch::pin();
-    let annotate = inner.config.annotate_reads;
     let gc = inner.config.enable_gc;
     let m = inner.config.cc_threads;
-    for (i, t) in batch.txns.iter().enumerate() {
+    let part = inner.index.partition(me);
+    for t in batch.txns.iter() {
         // Scans are annotated before the plan (i.e. before this
         // transaction's own placeholders install): for every key of the
         // range in this partition, the current latest version *is* the
@@ -153,8 +169,8 @@ pub(crate) fn process_batch(
         // ts-filtered fallback re-probe gives the same answer).
         //
         // Like read annotation, this is an *optimization* subject to the
-        // annotate_reads / annotate_max_reads knobs (an empty `scan_refs`
-        // slice marks an un-annotated scan): correctness does not depend
+        // annotate_max_reads knob (an empty `scan_refs` slice marks an
+        // un-annotated scan): correctness does not depend
         // on it, because the executor's fallback probe is ts-filtered and
         // all placeholders of earlier-timestamp transactions are installed
         // before this batch executes.
@@ -167,15 +183,15 @@ pub(crate) fn process_batch(
                     table: s.table,
                     row,
                 };
-                if (rid.stable_hash() >> 32) % m as u64 != me as u64 {
+                if inner.index.partition_of(rid) != me {
                     continue;
                 }
-                if let Some(chain) = inner.index.get(rid, &guard) {
+                if let Some(chain) = part.get(rid) {
                     // The annotation hands an unexecuted transaction a raw
                     // version pointer; record its timestamp so the key
                     // sweep never retires this chain under it.
                     chain.note_annotation(t.ts);
-                    if let Some(v) = chain.latest(&guard) {
+                    if let Some(v) = chain.latest() {
                         t.scan_refs[si][(row - s.lo) as usize]
                             .store(v as *const Version as *mut Version, Ordering::Release);
                     }
@@ -191,10 +207,13 @@ pub(crate) fn process_batch(
             if e.is_write() {
                 let wi = e.idx();
                 let rid = t.txn.writes[wi];
-                let chain = inner.index.get_or_insert(rid, &guard);
+                debug_assert_eq!(inner.index.partition_of(rid), me);
+                // SAFETY: `e.partition(m) == me`, the same partition
+                // function: this thread is the partition's only writer.
+                let chain = unsafe { part.get_or_insert(rid) };
                 let size = inner.record_size(rid.table);
-                let v = chain.install(pool.placeholder(t.ts, size), &guard);
-                t.write_refs[wi].store(v.as_raw() as *mut Version, Ordering::Release);
+                let v = chain.install(pool.placeholder(t.ts, size));
+                t.write_refs[wi].store(v as *const Version as *mut Version, Ordering::Release);
                 // GC triggers on update (§3.3.2) but is attempted on a
                 // 1-in-8 sample of installs: each truncate probe costs a
                 // coherence miss on the old head's line, and Condition 3
@@ -210,7 +229,7 @@ pub(crate) fn process_batch(
                     if bound > 0 {
                         // SAFETY: `e.partition(m) == me`, so this thread owns
                         // the chain, and `bound` is the Acquire load above.
-                        let retired = unsafe { chain.truncate(bound, &guard, pool) };
+                        let retired = unsafe { chain.truncate(bound, pool) };
                         if retired > 0 {
                             inner
                                 .gc_retired
@@ -219,7 +238,7 @@ pub(crate) fn process_batch(
                         }
                     }
                 }
-            } else if annotate {
+            } else {
                 let ri = e.idx();
                 // A key absent from the index at CC time (a record nobody
                 // has inserted yet, in timestamp order up to this txn)
@@ -227,18 +246,14 @@ pub(crate) fn process_batch(
                 // falls back to a ts-filtered re-probe, which reports
                 // "absent" even if a later transaction's placeholder has
                 // appeared on the chain by then (see `BohmAccess`).
-                if let Some(chain) = inner.index.get(t.txn.reads[ri], &guard) {
-                    if let Some(v) = chain.latest(&guard) {
+                if let Some(chain) = part.get(t.txn.reads[ri]) {
+                    if let Some(v) = chain.latest() {
                         chain.note_annotation(t.ts);
                         t.read_refs[ri]
                             .store(v as *const Version as *mut Version, Ordering::Release);
                     }
                 }
             }
-        }
-        // Bound how long one epoch pin lives on big batches.
-        if i % 512 == 511 {
-            guard.repin();
         }
     }
 }

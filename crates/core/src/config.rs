@@ -21,36 +21,29 @@ pub struct BohmConfig {
     /// Number of execution threads (`k`). Thread `i` is responsible for
     /// transactions `i, i+k, i+2k, …` of each batch.
     pub exec_threads: usize,
-    /// Enable the read-set optimization (§3.2.3): CC threads annotate each
-    /// transaction with direct pointers to the versions its reads resolve
-    /// to, so execution never traverses version chains. Disable to measure
-    /// the traversal cost (ablation; also how Fig. 8/9 explain the gap to
-    /// Hekaton/SI).
-    pub annotate_reads: bool,
     /// Enable Condition-3 garbage collection of superseded versions
-    /// (§3.3.2). The paper runs BOHM with GC on.
+    /// (§3.3.2), and with it the CC threads' key sweep, which retires a
+    /// fully-deleted key's tombstone, chain and index entry outright once
+    /// no transaction can need them. The paper runs BOHM with GC on.
     pub enable_gc: bool,
-    /// Index buckets each CC thread sweeps per batch looking for
-    /// reclaimable *keys*: a fully-deleted key whose chain has collapsed to
-    /// a sole committed tombstone older than the GC bound (and whose every
-    /// annotation holder has executed) has its tombstone, chain and index
-    /// entry retired outright — without this, full-table delete churn
-    /// leaks one tombstone plus an index entry per ever-used key. `0`
-    /// disables key reclamation (version GC alone then applies). Requires
-    /// [`enable_gc`](Self::enable_gc).
-    pub key_gc_buckets: usize,
-    /// Transactions whose read set exceeds this size are *not* annotated;
+    /// The read-set optimization (§3.2.3): CC threads annotate each
+    /// transaction with direct pointers to the versions its reads resolve
+    /// to, so execution never traverses version chains. Transactions whose
+    /// read set (or scan range) exceeds this size are *not* annotated;
     /// their reads fall back to chain traversal at execution time. The
-    /// §3.2.3 annotation is an optimization aimed at short transactions —
-    /// for a 10,000-record read-only transaction, having CC threads look up
-    /// and store ten thousand version pointers costs more than traversing
-    /// GC-trimmed chains on the (more numerous) execution threads.
+    /// annotation is aimed at short transactions — for a 10,000-record
+    /// read-only transaction, having CC threads look up and store ten
+    /// thousand version pointers costs more than traversing GC-trimmed
+    /// chains on the (more numerous) execution threads. `0` turns the
+    /// optimization off for every transaction that reads (the ablation
+    /// that measures the traversal cost; also how Fig. 8/9 explain the gap
+    /// to Hekaton/SI).
     pub annotate_max_reads: usize,
     /// Sizing *hint* for the latch-free hash index. The effective capacity
     /// is never below the catalog's row count and the hint is clamped to
     /// [`MAX_INDEX_CAPACITY_HINT`]; see
     /// [`effective_index_capacity`](Self::effective_index_capacity) for the
-    /// exact rule.
+    /// exact rule. It is split evenly over the CC threads' partitions.
     pub index_capacity: usize,
     /// Maximum transactions per sequencer-formed batch (the §3.2.4
     /// coordination-amortization knob). Also the timestamp *stride*
@@ -97,9 +90,7 @@ impl Default for BohmConfig {
         Self {
             cc_threads: 4,
             exec_threads: 4,
-            annotate_reads: true,
             enable_gc: true,
-            key_gc_buckets: 512,
             annotate_max_reads: 64,
             index_capacity: 1 << 20,
             batch_size: 4096,

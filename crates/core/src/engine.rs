@@ -7,10 +7,9 @@ use crate::session::BohmSession;
 use crate::window::Window;
 use crate::{cc, exec};
 use bohm_common::{RecordId, TableId, Txn};
-use bohm_mvstore::{HashIndex, Version, VersionIndex, VersionState};
+use bohm_mvstore::{PartitionedIndex, Version, VersionState};
 use bohm_sync::atomic::{AtomicU64, Ordering};
 use bohm_sync::CachePadded;
-use crossbeam_epoch::{self as epoch, Owned};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -18,7 +17,9 @@ use std::thread::JoinHandle;
 pub(crate) struct Inner {
     pub config: BohmConfig,
     record_sizes: Vec<usize>,
-    pub index: HashIndex,
+    /// One single-writer hash index per CC thread (partition `p` is
+    /// written only by CC thread `p`).
+    pub index: PartitionedIndex,
     pub window: Window,
     /// Per execution thread: last timestamp of the most recent batch it has
     /// fully finished (paper §3.3.2's `batch_i`, only written by thread i).
@@ -58,9 +59,11 @@ pub(crate) struct Inner {
 
 impl Inner {
     // CC ownership of a record is static hash partitioning (§3.2.2): CC
-    // thread `(rid.stable_hash() >> 32) % cc_threads` — encoded in
-    // [`PlanEntry::partition`](crate::batch::PlanEntry), which pre-hashes
-    // accesses so the per-batch scan never re-hashes a `RecordId`.
+    // thread `(rid.stable_hash() >> 32) % cc_threads`, which is both
+    // `PartitionedIndex::partition_of` and
+    // [`PlanEntry::partition`](crate::batch::PlanEntry) (the latter
+    // pre-hashes accesses so the per-batch scan never re-hashes a
+    // `RecordId`).
 
     #[inline]
     pub fn record_size(&self, table: TableId) -> usize {
@@ -88,19 +91,18 @@ impl Bohm {
         if config.durability.is_some() && config.epoch_source.is_none() {
             config.epoch_source = Some(Arc::new(AtomicU64::new(0)));
         }
-        let index = HashIndex::with_capacity(config.effective_index_capacity(catalog.total_rows()));
-        {
-            // Preloading happens before any worker exists, so the
-            // single-writer-per-chain invariant holds trivially.
-            let guard = epoch::pin();
-            for (tid, spec) in catalog.tables.iter().enumerate() {
-                for row in 0..spec.rows {
-                    let rid = RecordId::new(tid as u32, row);
-                    let data = bohm_common::value::of_u64((spec.seed)(row), spec.record_size);
-                    index
-                        .get_or_insert(rid, &guard)
-                        .install(Owned::new(Version::ready(0, data)), &guard);
-                }
+        let index = PartitionedIndex::new(
+            config.cc_threads,
+            config.effective_index_capacity(catalog.total_rows()),
+        );
+        for (tid, spec) in catalog.tables.iter().enumerate() {
+            for row in 0..spec.rows {
+                let rid = RecordId::new(tid as u32, row);
+                let data = bohm_common::value::of_u64((spec.seed)(row), spec.record_size);
+                // SAFETY: preloading happens before any worker exists, so
+                // this thread is every partition's only writer.
+                let chain = unsafe { index.partition(index.partition_of(rid)).get_or_insert(rid) };
+                chain.install(Box::new(Version::ready(0, data)));
             }
         }
         let record_sizes = catalog.tables.iter().map(|t| t.record_size).collect();
@@ -365,9 +367,8 @@ impl Bohm {
     /// as another write's placeholder while it is being copied, so a
     /// non-quiescent snapshot may also return wrong bytes.
     pub fn snapshot_records(&self, f: &mut dyn FnMut(RecordId, &[u8])) {
-        let guard = epoch::pin();
-        self.inner.index.for_each(&guard, &mut |rid, chain| {
-            if let Some(v) = chain.latest(&guard) {
+        self.inner.index.for_each(&mut |rid, chain| {
+            if let Some(v) = chain.latest() {
                 match v.state() {
                     VersionState::Ready => f(rid, v.data()),
                     VersionState::Tombstone => {}
@@ -424,9 +425,7 @@ impl Bohm {
     /// a version that was superseded and re-armed for an unrelated write.
     /// Only a quiescent read is defined.
     pub fn read_record(&self, rid: RecordId) -> Option<Box<[u8]>> {
-        let guard = epoch::pin();
-        let chain = self.inner.index.get(rid, &guard)?;
-        let v = chain.latest(&guard)?;
+        let v = self.inner.index.get(rid)?.latest()?;
         match v.state() {
             VersionState::Ready => Some(v.data().into()),
             VersionState::Tombstone => None,
@@ -453,8 +452,9 @@ impl Bohm {
         self.inner.keys_retired.load(Ordering::Relaxed)
     }
 
-    /// Number of keys currently present in the hash index (preloaded +
-    /// inserted − reclaimed); the live-memory audit hook of the key sweep.
+    /// Number of keys currently present in the hash index, summed over the
+    /// CC partitions (preloaded + inserted − reclaimed); the live-memory
+    /// audit hook of the key sweep.
     pub fn index_keys(&self) -> usize {
         self.inner.index.len()
     }
@@ -756,7 +756,7 @@ mod tests {
     #[test]
     fn annotations_can_be_disabled() {
         let mut cfg = BohmConfig::small();
-        cfg.annotate_reads = false;
+        cfg.annotate_max_reads = 0;
         let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |r| r));
         let out = e.execute_sync((0..40).map(|i| rmw(&[i % 8], 1)).collect());
         assert!(out.iter().all(|o| o.committed));
@@ -1000,12 +1000,12 @@ mod tests {
     fn scans_stay_correct_with_annotations_disabled() {
         use bohm_common::Procedure::BlindWrite;
         use bohm_common::{ScanRange, TpcCProc};
-        // The ablation path: with annotate_reads off (and thus no scan
+        // The ablation path: with annotate_max_reads = 0 (and thus no scan
         // pre-annotation either), every scanned row resolves through the
         // ts-filtered fallback probe — same ordering guarantees, no
         // pointer slots allocated.
         let mut cfg = BohmConfig::small();
-        cfg.annotate_reads = false;
+        cfg.annotate_max_reads = 0;
         let e = Bohm::start(cfg, CatalogSpec::new().table(64, 8, |r| r * 10));
         let history = || {
             Txn::with_scans(
@@ -1114,9 +1114,14 @@ mod tests {
         // chain head) plus its index entry forever. The CC key sweep must
         // return the index to its preloaded footprint once the GC bound
         // passes the deletes.
-        let mut cfg = BohmConfig::small();
-        cfg.key_gc_buckets = usize::MAX; // full sweep per batch: deterministic
-        let e = Bohm::start(cfg, CatalogSpec::new().table(2, 8, |_| 1));
+        let e = Bohm::start(BohmConfig::small(), CatalogSpec::new().table(2, 8, |_| 1));
+        for p in 0..2 {
+            let buckets = e.inner.index.partition(p).bucket_count();
+            assert!(
+                buckets <= crate::cc::KEY_SWEEP_BUCKETS,
+                "one sweep per batch covers a `small()` partition ({buckets} buckets)"
+            );
+        }
         let baseline = e.index_keys();
         assert_eq!(baseline, 2);
         let guard = rid(0);
@@ -1163,9 +1168,10 @@ mod tests {
         // Deleting one key and probing it from the same stream: the probe's
         // annotation must never be invalidated (the sweep defers until the
         // annotated transaction has executed), and live keys are untouched.
-        let mut cfg = BohmConfig::small();
-        cfg.key_gc_buckets = usize::MAX;
-        let e = Bohm::start(cfg, CatalogSpec::new().table(8, 8, |r| r + 1));
+        let e = Bohm::start(
+            BohmConfig::small(),
+            CatalogSpec::new().table(8, 8, |r| r + 1),
+        );
         let victim = rid(5);
         let probe = Txn::new(
             vec![rid(0), victim],

@@ -25,7 +25,6 @@ use crate::engine::Inner;
 use bohm_common::{execute_procedure, AbortReason, ExecScratch};
 use bohm_sync::atomic::Ordering;
 use bohm_sync::Backoff;
-use crossbeam_epoch as epoch;
 use std::sync::Arc;
 
 /// Recursion budget of dependency resolution: past this depth the
@@ -132,11 +131,9 @@ pub(crate) fn run_claimed(
 ) -> bool {
     t.txn.think();
     loop {
-        let guard = epoch::pin();
         let mut access = BohmAccess {
             t,
             index: &inner.index,
-            guard: &guard,
             deletes: &inner.deletes_seen,
         };
         let result = execute_procedure(
@@ -156,7 +153,7 @@ pub(crate) fn run_claimed(
             Err(AbortReason::User) => {
                 // Logic abort: the transaction's versions carry the data of
                 // their predecessors (paper §3.3.1, "write dependencies").
-                match copy_through(inner, t, &guard) {
+                match copy_through(inner, t) {
                     Ok(()) => {
                         t.complete(false, 0);
                         return true;
@@ -238,7 +235,7 @@ fn resolve_dependency(inner: &Inner, dep_ts: u64, scratch: &mut ExecScratch, dep
 /// itself unresolved. Tombstone fills arm the key sweep's
 /// `deletes_seen` gate like committed deletes do (an aborted fresh insert
 /// leaves a reclaimable sole-tombstone chain behind).
-fn copy_through(inner: &Inner, t: &TxnState, guard: &epoch::Guard) -> Result<(), u64> {
+fn copy_through(inner: &Inner, t: &TxnState) -> Result<(), u64> {
     for wi in 0..t.txn.writes.len() {
         let ptr = t.write_refs[wi].load(Ordering::Acquire);
         debug_assert!(!ptr.is_null());
@@ -250,7 +247,7 @@ fn copy_through(inner: &Inner, t: &TxnState, guard: &epoch::Guard) -> Result<(),
             // copy-through replay.
             continue;
         }
-        match v.prev(guard) {
+        match v.prev() {
             None => {
                 // Aborted insert of a fresh record: publish a tombstone so
                 // readers see continued absence.

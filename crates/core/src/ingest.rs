@@ -296,11 +296,7 @@ pub(crate) fn seq_loop(inner: Arc<Inner>, rx: IngestRx) {
                 epoch,
                 inner.config.cc_threads,
                 inner.config.exec_threads,
-                if inner.config.annotate_reads {
-                    inner.config.annotate_max_reads
-                } else {
-                    0
-                },
+                inner.config.annotate_max_reads,
                 arena,
             );
             *next_batch += 1;

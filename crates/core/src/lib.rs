@@ -18,7 +18,8 @@
 //!    in-flight-batch budget) or a full ingest queue blocks upstream —
 //!    backpressure, not unbounded queueing. See [`ingest`].
 //! 2. **Concurrency-control threads** (§3.2.2-§3.2.4): each owns a static
-//!    hash partition of the key space. For every transaction, in timestamp
+//!    hash partition of the key space, and is the only writer of that
+//!    partition's hash index. For every transaction, in timestamp
 //!    order, the owner of each written record installs an *uninitialized
 //!    placeholder version* and the owner of each read record annotates the
 //!    transaction with a direct pointer to the version it must read. No CC
@@ -44,7 +45,9 @@
 //! by transactions of batches `≤ b` are unreachable and are truncated by the
 //! owning CC thread into its version pool, which re-arms them as the
 //! placeholders of later writes — no grace period, no per-write allocation
-//! (the watermark rule in `bohm_mvstore::chain`). Batch retirement releases
+//! (the watermark rule in `bohm_mvstore::chain`). Index entries of
+//! fully-deleted keys wait for the same bound before they are freed, so no
+//! CC or execution thread takes an epoch pin. Batch retirement releases
 //! the window ring slot and advances that bound.
 //!
 //! See `DESIGN.md` at the repository root for the system map.

@@ -242,9 +242,6 @@ pub struct Hekaton {
     /// watermark; workers still touch exactly one contended line.)
     counter: Arc<CachePadded<AtomicU64>>,
     isolation: IsolationLevel,
-    /// Allow speculative reads of uncommitted (Preparing) data — "commit
-    /// dependencies". The paper's baselines have this on.
-    speculate: bool,
     /// Active-transaction registry driving the chain pruner's watermark.
     slots: Arc<SlotPool>,
     /// Incremental chain pruning on (default). The paper's baselines run
@@ -268,7 +265,6 @@ impl Hekaton {
             store: Arc::new(store),
             counter: Arc::new(CachePadded::new(AtomicU64::new(1))), // ts 0 = preload
             isolation,
-            speculate: true,
             slots: Arc::new(SlotPool::new()),
             gc: true,
             pruned: Arc::new(AtomicU64::new(0)),
@@ -342,12 +338,6 @@ impl Hekaton {
         Self::new(store, IsolationLevel::SnapshotIsolation)
     }
 
-    /// Disable commit dependencies (ablation).
-    pub fn without_speculation(mut self) -> Self {
-        self.speculate = false;
-        self
-    }
-
     /// Disable the version-chain pruner *and* the background sweep — the
     /// paper's original "no incremental GC" configuration, under which
     /// chains grow without bound (see `versions_accumulate_without_gc`).
@@ -384,8 +374,7 @@ impl Hekaton {
     /// Resolve the version of `rid` visible at `ts` for transaction `me`.
     ///
     /// `Err(())` means the resolution consumed state of an aborted
-    /// transaction (or needed speculation with it disabled) and the caller
-    /// must concurrency-abort. `Ok(None)` means no visible version.
+    /// transaction and the caller must concurrency-abort. `Ok(None)` means no visible version.
     fn resolve(
         &self,
         rid: RecordId,
@@ -535,13 +524,8 @@ impl Hekaton {
             // Diagnostic reads never race with Preparing txns (quiescence).
             return Ok(());
         };
-        if !self.speculate {
-            return Err(()); // speculation disabled: treat as conflict
-        }
-        match producer.register_dependent(m) {
-            Ok(_) => Ok(()),
-            Err(()) => Err(()), // producer aborted under us
-        }
+        // `Err`: the producer aborted under us.
+        producer.register_dependent(m).map(|_| ())
     }
 
     /// First-writer-wins update: supersede the version this transaction

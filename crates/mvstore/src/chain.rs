@@ -37,9 +37,11 @@
 //! diagnostic read of an old head — can observe a version re-armed for an
 //! unrelated write.
 //!
-//! The epoch guard the methods take still protects what the epoch
-//! collector frees: whole chains, dropped with the index entries the key
-//! sweep retires.
+//! The same rule covers whole chains. When the key sweep retires a
+//! fully-deleted key, [`HashIndex::free_unlinked`](crate::HashIndex::free_unlinked)
+//! recycles the chain's versions only once the GC bound has passed every
+//! reader that could still reach the unlinked entry, so no method here
+//! takes an epoch guard.
 
 // HOT-PATH: install/visible run per write and per read of every
 // transaction; no clocks, no syscalls, no I/O (enforced by the lint).
@@ -47,18 +49,17 @@
 use crate::pool::VersionPool;
 use crate::version::Version;
 use bohm_common::Timestamp;
-use bohm_sync::atomic::{AtomicU64, Ordering};
-use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
+use bohm_sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::ptr;
 
 /// The version chain of one record.
 ///
-/// Padded to a cache line: chains sit densely packed in index storage
-/// (`ArrayIndex` holds a `Box<[Chain]>` per table, the hash index inlines
-/// one per entry), and head installs by one CC thread would otherwise
-/// false-share with reads and installs on the three neighbouring records.
+/// Padded to a cache line: the hash index inlines one chain per entry, and
+/// head installs by one CC thread would otherwise false-share with reads
+/// and installs on neighbouring entries allocated next to it.
 #[repr(align(64))]
 pub struct Chain {
-    head: Atomic<Version>,
+    head: AtomicPtr<Version>,
     /// Largest timestamp of any transaction whose read or scan the owning
     /// CC thread annotated with a direct pointer into this chain. Written
     /// only by that thread (timestamps arrive monotonically), read by the
@@ -78,7 +79,7 @@ impl Chain {
     /// An empty chain (record does not exist yet).
     pub fn new() -> Self {
         Self {
-            head: Atomic::null(),
+            head: AtomicPtr::new(ptr::null_mut()),
             annotated_ts: AtomicU64::new(0),
         }
     }
@@ -105,13 +106,10 @@ impl Chain {
     /// key: combined with `begin ≤ GC bound` (every reader that could still
     /// need to observe the deletion has executed) and the annotation rule,
     /// the key's index entry can be retired outright.
-    pub fn sole_tombstone(&self, guard: &Guard) -> Option<Timestamp> {
-        let head = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: only the owning CC thread truncates, and the head is never
-        // truncated (its end is ∞); the caller is that thread.
-        let v = unsafe { head.as_ref() }?;
+    pub fn sole_tombstone(&self) -> Option<Timestamp> {
+        let v = self.latest()?;
         if v.state() == crate::version::VersionState::Tombstone
-            && v.prev.load(Ordering::Acquire, guard).is_null()
+            && v.prev.load(Ordering::Acquire).is_null()
         {
             Some(v.begin())
         } else {
@@ -128,10 +126,12 @@ impl Chain {
     /// Must only be called by the record's owning CC thread, with
     /// monotonically increasing `begin` timestamps — both are BOHM protocol
     /// invariants (§3.2.2/§3.2.3); the monotonicity is debug-asserted.
-    pub fn install<'g>(&self, version: Owned<Version>, guard: &'g Guard) -> Shared<'g, Version> {
-        let old = self.head.load(Ordering::Acquire, guard);
+    /// The returned reference stays valid until the owner truncates the
+    /// version (see [`truncate`](Self::truncate)).
+    pub fn install(&self, version: Box<Version>) -> &Version {
+        let old = self.head.load(Ordering::Acquire);
         // SAFETY: only the owning CC thread unlinks versions, and that is
-        // this thread — `old` cannot be retired while we hold it.
+        // this thread — `old` cannot be recycled while we hold it.
         if let Some(old_ref) = unsafe { old.as_ref() } {
             debug_assert!(
                 old_ref.begin() < version.begin(),
@@ -139,13 +139,14 @@ impl Chain {
             );
             old_ref.supersede(version.begin());
         }
-        // RELAXED: `version` is still thread-private (an `Owned`); the
+        // RELAXED: `version` is still thread-private (a `Box`); the
         // Release head store below publishes `prev` together with the rest
         // of the version's fields.
         version.prev.store(old, Ordering::Relaxed);
-        let shared = version.into_shared(guard);
-        self.head.store(shared, Ordering::Release);
-        shared
+        let new = Box::into_raw(version);
+        self.head.store(new, Ordering::Release);
+        // SAFETY: just published; only this thread can unlink it again.
+        unsafe { &*new }
     }
 
     /// Latest version, if any.
@@ -155,10 +156,10 @@ impl Chain {
     /// while no later write can be installed and truncated (a quiescent
     /// engine), or as a reader above the GC bound (module docs).
     #[inline]
-    pub fn latest<'g>(&self, guard: &'g Guard) -> Option<&'g Version> {
-        // SAFETY: the chain is live under `guard`, and the head stays
-        // linked until a newer install; the watermark rule covers the rest.
-        unsafe { self.head.load(Ordering::Acquire, guard).as_ref() }
+    pub fn latest(&self) -> Option<&Version> {
+        // SAFETY: the head stays linked until a newer install; the
+        // watermark rule covers the rest.
+        unsafe { self.head.load(Ordering::Acquire).as_ref() }
     }
 
     /// The version visible to a reader with timestamp `ts`: the version with
@@ -173,8 +174,8 @@ impl Chain {
     ///
     /// `ts` must stay above every GC bound `truncate` is called with while
     /// the caller holds the result (the watermark rule, module docs).
-    pub fn visible<'g>(&self, ts: Timestamp, guard: &'g Guard) -> Option<&'g Version> {
-        let mut cur = self.head.load(Ordering::Acquire, guard);
+    pub fn visible(&self, ts: Timestamp) -> Option<&Version> {
+        let mut cur = self.head.load(Ordering::Acquire);
         loop {
             // SAFETY: `cur` came from the head or from the `prev` edge of a
             // version with `begin ≥ ts`; by the watermark rule neither can
@@ -185,19 +186,18 @@ impl Chain {
                 // the first version with begin < ts is the only candidate.
                 return if v.end() >= ts { Some(v) } else { None };
             }
-            cur = v.prev.load(Ordering::Acquire, guard);
+            cur = v.prev.load(Ordering::Acquire);
         }
     }
 
     /// Number of versions currently linked (test/diagnostic helper, for
     /// the owning CC thread or a quiescent chain).
-    pub fn depth(&self, guard: &Guard) -> usize {
+    pub fn depth(&self) -> usize {
         let mut n = 0;
-        let mut cur = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: no truncation runs concurrently (caller contract above).
-        while let Some(v) = unsafe { cur.as_ref() } {
+        let mut cur = self.latest();
+        while let Some(v) = cur {
             n += 1;
-            cur = v.prev.load(Ordering::Acquire, guard);
+            cur = v.prev();
         }
         n
     }
@@ -221,66 +221,76 @@ impl Chain {
     /// before this call. In BOHM both follow from the watermark rule
     /// (module docs) when `bound` is an Acquire load of the GC bound, or
     /// anything smaller.
-    pub unsafe fn truncate(
-        &self,
-        bound: Timestamp,
-        guard: &Guard,
-        pool: &mut VersionPool,
-    ) -> usize {
+    pub unsafe fn truncate(&self, bound: Timestamp, pool: &mut VersionPool) -> usize {
         // The head always has end = ∞, so the truncation point is strictly
-        // below the head and `pred` is always valid.
-        let head = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: loaded under `guard`, and only this (owning) thread ever
-        // unlinks — the head is live.
-        let Some(mut pred) = (unsafe { head.as_ref() }) else {
+        // below the head and `pred` is always valid. Only this (owning)
+        // thread ever unlinks, so everything walked here is live.
+        let Some(mut pred) = self.latest() else {
             return 0;
         };
         loop {
-            let next = pred.prev.load(Ordering::Acquire, guard);
+            let next = pred.prev.load(Ordering::Acquire);
             // SAFETY: still linked (we only unlink below, and no other
-            // thread truncates this chain), loaded under `guard`.
+            // thread truncates this chain).
             let Some(v) = (unsafe { next.as_ref() }) else {
                 return 0;
             };
             if v.end() <= bound {
                 // Unlink the tail, then recycle every version in it.
-                pred.prev.store(Shared::null(), Ordering::Release);
-                let mut retired = 0;
-                let mut cur = next;
-                while !cur.is_null() {
-                    // SAFETY: the tail is unreachable from the head, every
-                    // version in it has `end ≤ bound`, and by the caller's
-                    // contract every reader that could still hold one has
-                    // finished before this call — this thread owns it now.
-                    let owned = unsafe { cur.into_owned() };
-                    // RELAXED: this thread wrote every `prev` edge of its
-                    // chains; no other writer exists to synchronize with.
-                    cur = owned.prev.load(Ordering::Relaxed, guard);
-                    pool.put(owned.into_box());
-                    retired += 1;
-                }
-                return retired;
+                pred.prev.store(ptr::null_mut(), Ordering::Release);
+                // SAFETY: the tail is unreachable from the head, every
+                // version in it has `end ≤ bound`, and by the caller's
+                // contract every reader that could still hold one has
+                // finished before this call — this thread owns it now.
+                return unsafe { recycle_list(next, pool) };
             }
             pred = v;
         }
     }
+
+    /// Hand every version of a chain nobody can reach any more to `pool`,
+    /// leaving it empty; returns how many there were.
+    pub(crate) fn recycle(&mut self, pool: &mut VersionPool) -> usize {
+        // RELAXED: `&mut self` — this thread already synchronized with
+        // every past writer of the chain.
+        let head = self.head.swap(ptr::null_mut(), Ordering::Relaxed);
+        // SAFETY: `&mut self` — no reader or writer can reach the chain.
+        unsafe { recycle_list(head, pool) }
+    }
+}
+
+/// Move the unlinked version list starting at `cur` into `pool`.
+///
+/// # Safety
+///
+/// The list must be unreachable by every other thread, and owned by the
+/// caller.
+unsafe fn recycle_list(mut cur: *mut Version, pool: &mut VersionPool) -> usize {
+    let mut n = 0;
+    while !cur.is_null() {
+        // SAFETY: caller contract; every version came from `Box::into_raw`
+        // in `install`.
+        let v = unsafe { Box::from_raw(cur) };
+        // RELAXED: this thread wrote every `prev` edge of its chains; no
+        // other writer exists to synchronize with.
+        cur = v.prev.load(Ordering::Relaxed);
+        pool.put(v);
+        n += 1;
+    }
+    n
 }
 
 impl Drop for Chain {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` guarantees no concurrent readers; free the
-        // whole list eagerly.
-        unsafe {
-            let guard = crossbeam_epoch::unprotected();
-            // RELAXED: `&mut self` means this thread already synchronized
-            // with every past writer; no concurrent access exists.
-            let mut cur = self.head.load(Ordering::Relaxed, guard);
-            while let Some(v) = cur.as_ref() {
-                // RELAXED: same exclusive-access argument as the head load.
-                let prev = v.prev.load(Ordering::Relaxed, guard);
-                drop(cur.into_owned());
-                cur = prev;
-            }
+        // RELAXED: `&mut self` means this thread already synchronized with
+        // every past writer; no concurrent access exists.
+        let mut cur = self.head.load(Ordering::Relaxed);
+        while !cur.is_null() {
+            // SAFETY: `&mut self` guarantees no concurrent readers; every
+            // version came from `Box::into_raw` in `install`.
+            let v = unsafe { Box::from_raw(cur) };
+            // RELAXED: same exclusive-access argument as the head load.
+            cur = v.prev.load(Ordering::Relaxed);
         }
     }
 }
@@ -290,59 +300,55 @@ mod tests {
     use super::*;
     use bohm_common::value::{get_u64, of_u64};
     use bohm_common::INFINITY_TS;
-    use crossbeam_epoch as epoch;
 
-    fn ready(ts: Timestamp, val: u64) -> Owned<Version> {
-        Owned::new(Version::ready(ts, of_u64(val, 8)))
+    fn ready(ts: Timestamp, val: u64) -> Box<Version> {
+        Box::new(Version::ready(ts, of_u64(val, 8)))
     }
 
     /// Truncation in a single-threaded test, where no version reference is
     /// held across the call.
-    fn truncate(c: &Chain, bound: Timestamp, g: &Guard, pool: &mut VersionPool) -> usize {
+    fn truncate(c: &Chain, bound: Timestamp, pool: &mut VersionPool) -> usize {
         // SAFETY: no other thread exists and the callers keep no version
         // reference across the call, so no reader can see the recycling.
-        unsafe { c.truncate(bound, g, pool) }
+        unsafe { c.truncate(bound, pool) }
     }
 
     #[test]
     fn empty_chain_has_no_visible_version() {
         let c = Chain::new();
-        let g = epoch::pin();
-        assert!(c.latest(&g).is_none());
-        assert!(c.visible(100, &g).is_none());
-        assert_eq!(c.depth(&g), 0);
+        assert!(c.latest().is_none());
+        assert!(c.visible(100).is_none());
+        assert_eq!(c.depth(), 0);
     }
 
     #[test]
     fn install_links_and_supersedes() {
         let c = Chain::new();
-        let g = epoch::pin();
-        c.install(ready(100, 1), &g);
-        c.install(ready(200, 2), &g);
-        let head = c.latest(&g).unwrap();
+        c.install(ready(100, 1));
+        c.install(ready(200, 2));
+        let head = c.latest().unwrap();
         assert_eq!(head.begin(), 200);
         assert_eq!(head.end(), INFINITY_TS);
-        let old = c.visible(150, &g).unwrap();
+        let old = c.visible(150).unwrap();
         assert_eq!(old.begin(), 100);
         assert_eq!(old.end(), 200);
-        assert_eq!(c.depth(&g), 2);
+        assert_eq!(c.depth(), 2);
     }
 
     #[test]
     fn visibility_window_semantics() {
         let c = Chain::new();
-        let g = epoch::pin();
-        c.install(ready(100, 1), &g);
-        c.install(ready(200, 2), &g);
-        c.install(ready(300, 3), &g);
+        c.install(ready(100, 1));
+        c.install(ready(200, 2));
+        c.install(ready(300, 3));
         // Reader before the record existed.
-        assert!(c.visible(100, &g).is_none(), "begin < ts is strict");
+        assert!(c.visible(100).is_none(), "begin < ts is strict");
         // Reader mid-history.
-        assert_eq!(get_u64(c.visible(101, &g).unwrap().data(), 0), 1);
-        assert_eq!(get_u64(c.visible(200, &g).unwrap().data(), 0), 1);
-        assert_eq!(get_u64(c.visible(201, &g).unwrap().data(), 0), 2);
+        assert_eq!(get_u64(c.visible(101).unwrap().data(), 0), 1);
+        assert_eq!(get_u64(c.visible(200).unwrap().data(), 0), 1);
+        assert_eq!(get_u64(c.visible(201).unwrap().data(), 0), 2);
         // Reader after everything.
-        assert_eq!(get_u64(c.visible(999, &g).unwrap().data(), 0), 3);
+        assert_eq!(get_u64(c.visible(999).unwrap().data(), 0), 3);
     }
 
     #[test]
@@ -350,10 +356,9 @@ mod tests {
         // A transaction at ts=200 that RMWs this record must read the
         // version it supersedes (end = 200).
         let c = Chain::new();
-        let g = epoch::pin();
-        c.install(ready(100, 7), &g);
-        c.install(Owned::new(Version::placeholder(200, 8)), &g);
-        let seen = c.visible(200, &g).unwrap();
+        c.install(ready(100, 7));
+        c.install(Box::new(Version::placeholder(200, 8)));
+        let seen = c.visible(200).unwrap();
         assert_eq!(seen.begin(), 100);
         assert_eq!(get_u64(seen.data(), 0), 7);
     }
@@ -361,31 +366,29 @@ mod tests {
     #[test]
     fn placeholder_visible_but_unresolved() {
         let c = Chain::new();
-        let g = epoch::pin();
-        c.install(Owned::new(Version::placeholder(100, 8)), &g);
-        let v = c.visible(150, &g).unwrap();
+        c.install(Box::new(Version::placeholder(100, 8)));
+        let v = c.visible(150).unwrap();
         assert!(!v.is_resolved());
     }
 
     #[test]
     fn truncate_retires_only_dead_tail() {
         let c = Chain::new();
-        let g = epoch::pin();
         let mut pool = VersionPool::new();
-        c.install(ready(100, 1), &g); // end=200
-        c.install(ready(200, 2), &g); // end=300
-        c.install(ready(300, 3), &g); // end=∞
-                                      // Watermark bound 250: version(100) has end 200 ≤ 250 → retire 1.
-        assert_eq!(truncate(&c, 250, &g, &mut pool), 1);
-        assert_eq!(c.depth(&g), 2);
+        c.install(ready(100, 1)); // end=200
+        c.install(ready(200, 2)); // end=300
+        c.install(ready(300, 3)); // end=∞
+                                  // Watermark bound 250: version(100) has end 200 ≤ 250 → retire 1.
+        assert_eq!(truncate(&c, 250, &mut pool), 1);
+        assert_eq!(c.depth(), 2);
         // Readers above the bound still resolve correctly.
-        assert_eq!(get_u64(c.visible(250, &g).unwrap().data(), 0), 2);
+        assert_eq!(get_u64(c.visible(250).unwrap().data(), 0), 2);
         // Bound below every end: nothing to do.
-        assert_eq!(truncate(&c, 250, &g, &mut pool), 0);
+        assert_eq!(truncate(&c, 250, &mut pool), 0);
         // Bound covering version(200): retire it too.
-        assert_eq!(truncate(&c, 300, &g, &mut pool), 1);
-        assert_eq!(c.depth(&g), 1);
-        assert_eq!(get_u64(c.latest(&g).unwrap().data(), 0), 3);
+        assert_eq!(truncate(&c, 300, &mut pool), 1);
+        assert_eq!(c.depth(), 1);
+        assert_eq!(get_u64(c.latest().unwrap().data(), 0), 3);
     }
 
     #[test]
@@ -395,50 +398,46 @@ mod tests {
         // tombstone and the pre-delete value are reclaimed; the chain
         // converges to the single live version.
         let c = Chain::new();
-        let g = epoch::pin();
         let mut pool = VersionPool::new();
-        c.install(ready(100, 1), &g); // end=200 after delete
-        let del = c.install(Owned::new(Version::placeholder(200, 8)), &g);
-        // SAFETY: `del` was just installed under `g` and nothing truncates.
-        unsafe { del.as_ref() }.unwrap().fill_tombstone();
+        c.install(ready(100, 1)); // end=200 after delete
+        let del = c.install(Box::new(Version::placeholder(200, 8)));
+        del.fill_tombstone();
         // Deleted: readers above the tombstone observe it (absence).
         assert_eq!(
-            c.visible(250, &g).unwrap().state(),
+            c.visible(250).unwrap().state(),
             crate::version::VersionState::Tombstone
         );
         // Re-insert supersedes the tombstone (end = 300).
-        c.install(ready(300, 3), &g);
-        assert_eq!(c.depth(&g), 3);
+        c.install(ready(300, 3));
+        assert_eq!(c.depth(), 3);
         // Bound below the re-insert keeps the tombstone (a reader at 250
         // might still need to observe the deletion).
         assert_eq!(
-            truncate(&c, 250, &g, &mut pool),
+            truncate(&c, 250, &mut pool),
             1,
             "only the pre-delete value dies"
         );
         // Bound at the re-insert reclaims the tombstone too.
-        assert_eq!(truncate(&c, 300, &g, &mut pool), 1);
-        assert_eq!(c.depth(&g), 1);
-        assert_eq!(get_u64(c.latest(&g).unwrap().data(), 0), 3);
+        assert_eq!(truncate(&c, 300, &mut pool), 1);
+        assert_eq!(c.depth(), 1);
+        assert_eq!(get_u64(c.latest().unwrap().data(), 0), 3);
     }
 
     #[test]
     fn sole_tombstone_shape_and_annotation_bookkeeping() {
         let c = Chain::new();
-        let g = epoch::pin();
         let mut pool = VersionPool::new();
-        assert!(c.sole_tombstone(&g).is_none(), "empty chain");
-        c.install(ready(100, 1), &g);
-        assert!(c.sole_tombstone(&g).is_none(), "live value");
-        let del = c.install(Owned::new(Version::placeholder(200, 8)), &g);
-        // SAFETY: `del` was just installed under `g` and nothing truncates.
-        unsafe { del.as_ref() }.unwrap().fill_tombstone();
+        assert!(c.sole_tombstone().is_none(), "empty chain");
+        c.install(ready(100, 1));
+        assert!(c.sole_tombstone().is_none(), "live value");
+        let del = c.install(Box::new(Version::placeholder(200, 8)));
+        del.fill_tombstone();
         assert!(
-            c.sole_tombstone(&g).is_none(),
+            c.sole_tombstone().is_none(),
             "predecessor value still linked"
         );
-        assert_eq!(truncate(&c, 200, &g, &mut pool), 1);
-        assert_eq!(c.sole_tombstone(&g), Some(200), "fully-deleted shape");
+        assert_eq!(truncate(&c, 200, &mut pool), 1);
+        assert_eq!(c.sole_tombstone(), Some(200), "fully-deleted shape");
         assert_eq!(c.annotated_ts(), 0);
         c.note_annotation(250);
         assert_eq!(c.annotated_ts(), 250);
@@ -447,45 +446,42 @@ mod tests {
     #[test]
     fn truncate_never_touches_live_head() {
         let c = Chain::new();
-        let g = epoch::pin();
         let mut pool = VersionPool::new();
-        c.install(ready(100, 1), &g);
-        assert_eq!(truncate(&c, u64::MAX - 1, &g, &mut pool), 0);
-        assert_eq!(c.depth(&g), 1);
+        c.install(ready(100, 1));
+        assert_eq!(truncate(&c, u64::MAX - 1, &mut pool), 0);
+        assert_eq!(c.depth(), 1);
     }
 
     #[test]
     fn long_history_truncates_in_one_pass() {
         let c = Chain::new();
-        let g = epoch::pin();
         let mut pool = VersionPool::new();
         for i in 1..=100 {
-            c.install(ready(i * 10, i), &g);
+            c.install(ready(i * 10, i));
         }
         // All ends except the head's are ≤ 1000.
-        assert_eq!(truncate(&c, 1000, &g, &mut pool), 99);
-        assert_eq!(c.depth(&g), 1);
+        assert_eq!(truncate(&c, 1000, &mut pool), 99);
+        assert_eq!(c.depth(), 1);
         assert_eq!(pool.len(), 99, "every truncated version is pooled");
     }
 
     #[test]
     fn truncated_versions_come_back_as_placeholders() {
         let c = Chain::new();
-        let g = epoch::pin();
         let mut pool = VersionPool::new();
-        c.install(ready(1, 1), &g);
-        let old = c.latest(&g).unwrap() as *const Version;
-        c.install(ready(2, 2), &g);
-        assert_eq!(truncate(&c, 2, &g, &mut pool), 1);
-        let v = c.install(pool.placeholder(3, 8), &g);
-        assert_eq!(v.as_raw(), old, "the truncated version was reused");
+        c.install(ready(1, 1));
+        let old = c.latest().unwrap() as *const Version;
+        c.install(ready(2, 2));
+        assert_eq!(truncate(&c, 2, &mut pool), 1);
+        let v = c.install(pool.placeholder(3, 8));
+        assert_eq!(v as *const Version, old, "the truncated version was reused");
         assert!(pool.is_empty());
         // Re-armed: a fresh pending head superseding ts 2, no stale link.
-        let head = c.latest(&g).unwrap();
+        let head = c.latest().unwrap();
         assert_eq!((head.begin(), head.end()), (3, INFINITY_TS));
         assert!(!head.is_resolved());
-        assert_eq!(c.visible(3, &g).unwrap().end(), 3);
-        assert_eq!(c.depth(&g), 2);
+        assert_eq!(c.visible(3).unwrap().end(), 3);
+        assert_eq!(c.depth(), 2);
     }
 
     #[test]
@@ -505,10 +501,7 @@ mod tests {
         const READERS: usize = 3;
         const LAST: u64 = 4000;
         let c = Arc::new(Chain::new());
-        {
-            let g = epoch::pin();
-            c.install(ready(1, 0), &g);
-        }
+        c.install(ready(1, 0));
         let installed = Arc::new(AtomicU64::new(1));
         let finished: Arc<Vec<AtomicU64>> =
             Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
@@ -529,11 +522,9 @@ mod tests {
                         std::hint::spin_loop(); // caught up with the writer
                         continue;
                     }
-                    let g = epoch::pin();
-                    let v = c.visible(ts, &g).expect("every ts > 1 sees a version");
+                    let v = c.visible(ts).expect("every ts > 1 sees a version");
                     assert!(v.begin() < ts && v.end() >= ts, "visible({ts}): {v:?}");
                     assert_eq!(get_u64(v.data(), 0), v.begin() - 1);
-                    drop(g);
                     done = ts;
                     finished[r].store(done, O::Release);
                     reads += 1;
@@ -548,25 +539,22 @@ mod tests {
         let mut pool = VersionPool::new();
         let mut recycled = 0;
         for i in 1..LAST {
-            let g = epoch::pin();
-            let v = c.install(pool.placeholder(i + 1, 8), &g);
-            // SAFETY: just installed by this thread; only it truncates.
-            unsafe { v.as_ref() }.unwrap().fill(&of_u64(i, 8));
+            let v = c.install(pool.placeholder(i + 1, 8));
+            v.fill(&of_u64(i, 8));
             installed.store(i + 1, O::Release);
             if i % 16 == 0 {
                 let bound = finished.iter().map(|f| f.load(O::Acquire)).min().unwrap();
                 // SAFETY: every reader Release-published `finished` after its
                 // last read at or below it and reads only above it; `bound`
                 // is an Acquire load of the minimum (the watermark rule).
-                recycled += unsafe { c.truncate(bound, &g, &mut pool) };
+                recycled += unsafe { c.truncate(bound, &mut pool) };
             }
         }
         for h in handles {
             h.join().unwrap();
         }
-        let g = epoch::pin();
-        recycled += truncate(&c, LAST, &g, &mut pool);
-        assert_eq!(c.depth(&g), 1);
+        recycled += truncate(&c, LAST, &mut pool);
+        assert_eq!(c.depth(), 1);
         assert_eq!(
             recycled as u64,
             LAST - 1,

@@ -5,9 +5,11 @@
 //! placeholders of later writes. Versions move from a chain into the pool
 //! only through [`Chain::truncate`](crate::chain::Chain::truncate), whose
 //! GC bound guarantees that no reader still holds them (the watermark rule
-//! in [`crate::chain`]), so recycling needs no epoch grace period and
-//! steady-state writes touch neither the allocator nor the epoch
-//! collector's global defer list.
+//! in [`crate::chain`]), and through
+//! [`HashIndex::free_unlinked`](crate::index::HashIndex::free_unlinked),
+//! which frees a retired key's chain only once the GC bound has passed
+//! every reader that could still reach it. Steady-state writes therefore
+//! touch neither the allocator nor the epoch collector.
 //!
 //! The pool has no cap: in steady state every write pops one version and
 //! truncation pushes one back, so its size tracks the number of versions
@@ -18,7 +20,6 @@
 
 use crate::version::Version;
 use bohm_common::Timestamp;
-use crossbeam_epoch::Owned;
 
 /// Free lists of unlinked versions, one per payload length.
 #[derive(Default)]
@@ -41,13 +42,13 @@ impl VersionPool {
     /// record of `size` bytes: a recycled version re-armed in place when
     /// one of that size is free, a fresh allocation otherwise.
     #[inline]
-    pub fn placeholder(&mut self, begin: Timestamp, size: usize) -> Owned<Version> {
+    pub fn placeholder(&mut self, begin: Timestamp, size: usize) -> Box<Version> {
         match self.class(size).pop() {
             Some(mut v) => {
                 v.rearm(begin);
-                Owned::from(v)
+                v
             }
-            None => Owned::new(Version::placeholder(begin, size)),
+            None => Box::new(Version::placeholder(begin, size)),
         }
     }
 
@@ -104,7 +105,7 @@ mod tests {
         pool.put(small);
         pool.put(Box::new(Version::placeholder(2, 32)));
         assert_eq!(pool.len(), 2);
-        let v = pool.placeholder(9, 8).into_box();
+        let v = pool.placeholder(9, 8);
         assert_eq!(&*v as *const Version, addr, "reused, not reallocated");
         assert_eq!((v.begin(), v.end(), v.len()), (9, INFINITY_TS, 8));
         assert_eq!(v.state(), VersionState::Pending);

@@ -15,9 +15,8 @@
 //! for later writes (`Version::rearm`).
 
 use bohm_common::{Timestamp, INFINITY_TS};
-use bohm_sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use bohm_sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use bohm_sync::cell::UnsafeCell;
-use crossbeam_epoch::Atomic;
 
 /// Lifecycle of a version's payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -55,8 +54,8 @@ pub struct Version {
     /// [`VersionState`] discriminant.
     state: AtomicU32,
     /// Previous (older) version. Written by the owning CC thread at install
-    /// and truncation; traversed by readers under an epoch guard.
-    pub(crate) prev: Atomic<Version>,
+    /// and truncation; traversed by readers under the watermark rule.
+    pub(crate) prev: AtomicPtr<Version>,
     /// Record payload. Single-writer discipline: only the execution thread
     /// that holds the producing transaction's `Executing` state writes here,
     /// before the `Ready` release-store; readers only look after an
@@ -81,7 +80,7 @@ impl Version {
             begin,
             end: AtomicU64::new(INFINITY_TS),
             state: AtomicU32::new(VersionState::Pending as u32),
-            prev: Atomic::null(),
+            prev: AtomicPtr::new(std::ptr::null_mut()),
             data: UnsafeCell::new(vec![0u8; size].into_boxed_slice()),
         }
     }
@@ -92,7 +91,7 @@ impl Version {
             begin,
             end: AtomicU64::new(INFINITY_TS),
             state: AtomicU32::new(VersionState::Ready as u32),
-            prev: Atomic::null(),
+            prev: AtomicPtr::new(std::ptr::null_mut()),
             data: UnsafeCell::new(data),
         }
     }
@@ -144,10 +143,9 @@ impl Version {
         self.begin = begin;
         *self.end.get_mut() = INFINITY_TS;
         *self.state.get_mut() = VersionState::Pending as u32;
-        let unlinked = crossbeam_epoch::Shared::null();
         // RELAXED: `&mut self` — the version is unlinked and thread-private;
         // the install that republishes it is a Release store.
-        self.prev.store(unlinked, Ordering::Relaxed);
+        self.prev.store(std::ptr::null_mut(), Ordering::Relaxed);
         // SAFETY: `&mut self` excludes every other access. The tracked
         // accessor (not `get_mut`) makes the reset a write the model
         // checker orders against the last reader of the previous life.
@@ -224,10 +222,10 @@ impl Version {
     /// predecessor of a version it can see ends at or above its timestamp,
     /// so truncation cannot recycle it under the reader).
     #[inline]
-    pub fn prev<'g>(&self, guard: &'g crossbeam_epoch::Guard) -> Option<&'g Version> {
+    pub fn prev(&self) -> Option<&Version> {
         // SAFETY: the watermark rule above keeps the predecessor linked,
         // hence un-recycled, for as long as the caller may use it.
-        unsafe { self.prev.load(Ordering::Acquire, guard).as_ref() }
+        unsafe { self.prev.load(Ordering::Acquire).as_ref() }
     }
 
     /// Publish this placeholder as a deletion tombstone.

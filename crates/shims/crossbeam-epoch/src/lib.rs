@@ -1,5 +1,8 @@
-//! Offline shim for `crossbeam-epoch`: the API subset this workspace uses,
-//! backed by a classic three-bin global-epoch collector.
+//! Offline shim for `crossbeam-epoch`: the API subset this workspace uses
+//! ([`pin`] and [`Guard::defer_unchecked`]), backed by a classic three-bin
+//! global-epoch collector. Its users are the BOHM batch window's slots and
+//! the Hekaton/SI version chains; BOHM's own version store reclaims by the
+//! GC watermark instead.
 //!
 //! # Scheme
 //!
@@ -12,14 +15,12 @@
 //! deferred), so that bin is drained.
 //!
 //! Everything synchronizes with `SeqCst`; this shim optimizes for
-//! auditability, not cycle counts — pins are one uncontended store plus a
-//! re-check load, which is what the BOHM hot paths need.
+//! auditability, not cycle counts — a pin is one uncontended store plus a
+//! re-check load, and every few pins and defers an advance attempt.
 
-use bohm_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use bohm_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use bohm_sync::Mutex;
 use std::cell::Cell;
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
@@ -29,6 +30,12 @@ use std::sync::OnceLock;
 const BINS: usize = 3;
 /// Defers between advance attempts (per process, approximate).
 const ADVANCE_EVERY: usize = 64;
+/// Outermost pins between advance attempts, per thread. Collection is
+/// driven by pins as well as by defers (upstream crossbeam-epoch collects
+/// on pin too): a caller that defers rarely but pins often, like the BOHM
+/// batch window with one deferred batch per retirement, would otherwise
+/// keep dozens of retired batches waiting for the next advance.
+const PINS_BETWEEN_ADVANCE: usize = 4;
 
 /// Participant status word: `u64::MAX` = not pinned, `u64::MAX - 1` =
 /// thread exited (entry reclaimable), otherwise the epoch it pinned in.
@@ -119,6 +126,8 @@ struct Handle {
     /// Nested pin depth on this thread; only the outermost pin/unpin
     /// touches the participant status.
     depth: Cell<usize>,
+    /// Outermost pins taken on this thread (advance pacing).
+    pins: Cell<usize>,
 }
 
 impl Handle {
@@ -134,6 +143,7 @@ impl Handle {
         Self {
             participant,
             depth: Cell::new(0),
+            pins: Cell::new(0),
         }
     }
 
@@ -167,56 +177,32 @@ thread_local! {
 // ---------------------------------------------------------------------------
 
 /// An epoch pin. While any guard is alive on a thread, memory deferred
-/// *after* the pin is not reclaimed.
+/// *after* the pin is not reclaimed. Not `Send`: a guard unpins the thread
+/// that pinned it.
 pub struct Guard {
-    /// `false` for the [`unprotected`] guard (no pin, immediate frees).
-    protected: bool,
+    _not_send: std::marker::PhantomData<*const ()>,
 }
-
-// SAFETY: required so the `unprotected()` guard can live in a static. The
-// unprotected guard carries no per-thread state; protected guards are
-// created and dropped on one thread by construction in this workspace.
-unsafe impl Sync for Guard {}
 
 /// Pin the current thread.
 pub fn pin() -> Guard {
     HANDLE.with(|h| {
         if h.depth.get() == 0 {
+            let pins = h.pins.get().wrapping_add(1);
+            h.pins.set(pins);
+            if pins % PINS_BETWEEN_ADVANCE == 0 {
+                // Before publishing our own pin, which could block it.
+                global().try_advance();
+            }
             h.pin_slow();
         }
         h.depth.set(h.depth.get() + 1);
     });
-    Guard { protected: true }
-}
-
-/// A guard that does not pin: for single-threaded teardown paths where the
-/// caller guarantees no concurrent readers.
-///
-/// # Safety
-///
-/// Deferred destruction through this guard runs immediately; the caller
-/// must guarantee exclusive access to anything it frees.
-pub unsafe fn unprotected() -> &'static Guard {
-    static UNPROTECTED: Guard = Guard { protected: false };
-    &UNPROTECTED
+    Guard {
+        _not_send: std::marker::PhantomData,
+    }
 }
 
 impl Guard {
-    /// Momentarily un-pin and re-pin, letting the collector advance past
-    /// long-lived guards (used by batch loops).
-    pub fn repin(&mut self) {
-        if !self.protected {
-            return;
-        }
-        HANDLE.with(|h| {
-            if h.depth.get() == 1 {
-                h.participant.status.store(UNPINNED, Ordering::SeqCst);
-                global().try_advance();
-                h.pin_slow();
-            }
-        });
-    }
-
     /// Defer `f` until no pin from before this call remains.
     ///
     /// # Safety
@@ -228,10 +214,6 @@ impl Guard {
     where
         F: FnOnce() -> R,
     {
-        if !self.protected {
-            drop(f());
-            return;
-        }
         let call: Box<dyn FnOnce() + '_> = Box::new(move || {
             f();
         });
@@ -245,9 +227,6 @@ impl Guard {
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        if !self.protected {
-            return;
-        }
         // A guard never outlives its thread in this workspace; `try_with`
         // keeps teardown races during TLS destruction benign anyway.
         let _ = HANDLE.try_with(|h| {
@@ -260,168 +239,11 @@ impl Drop for Guard {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pointer types
-// ---------------------------------------------------------------------------
-
-/// An owned, heap-allocated value not yet published.
-pub struct Owned<T> {
-    boxed: Box<T>,
-}
-
-impl<T> Owned<T> {
-    pub fn new(value: T) -> Self {
-        Self {
-            boxed: Box::new(value),
-        }
-    }
-
-    /// The heap allocation, back in a `Box`.
-    pub fn into_box(self) -> Box<T> {
-        self.boxed
-    }
-
-    /// Publishable pointer; ownership moves into shared space.
-    pub fn into_shared<'g>(self, _guard: &'g Guard) -> Shared<'g, T> {
-        Shared {
-            ptr: Box::into_raw(self.boxed),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<T> From<Box<T>> for Owned<T> {
-    fn from(b: Box<T>) -> Self {
-        Self { boxed: b }
-    }
-}
-
-impl<T> Deref for Owned<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.boxed
-    }
-}
-
-impl<T> DerefMut for Owned<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.boxed
-    }
-}
-
-/// A pointer to shared memory, valid for the guard lifetime `'g`.
-pub struct Shared<'g, T> {
-    ptr: *mut T,
-    _marker: PhantomData<&'g T>,
-}
-
-impl<T> Clone for Shared<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for Shared<'_, T> {}
-
-impl<'g, T> Shared<'g, T> {
-    pub fn null() -> Self {
-        Shared {
-            ptr: std::ptr::null_mut(),
-            _marker: PhantomData,
-        }
-    }
-
-    pub fn is_null(&self) -> bool {
-        self.ptr.is_null()
-    }
-
-    pub fn as_raw(&self) -> *const T {
-        self.ptr
-    }
-
-    /// # Safety
-    ///
-    /// The pointer must be valid (published and not yet reclaimed) for `'g`.
-    pub unsafe fn as_ref(&self) -> Option<&'g T> {
-        // SAFETY: caller contract.
-        unsafe { self.ptr.as_ref() }
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have exclusive ownership of the allocation.
-    pub unsafe fn into_owned(self) -> Owned<T> {
-        Owned {
-            // SAFETY: caller contract; the pointer came from `Box::into_raw`.
-            boxed: unsafe { Box::from_raw(self.ptr) },
-        }
-    }
-}
-
-/// An atomic pointer into shared memory.
-pub struct Atomic<T> {
-    ptr: AtomicPtr<T>,
-}
-
-impl<T> Atomic<T> {
-    pub fn null() -> Self {
-        Self {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    pub fn load<'g>(&self, ord: Ordering, _guard: &'g Guard) -> Shared<'g, T> {
-        Shared {
-            ptr: self.ptr.load(ord),
-            _marker: PhantomData,
-        }
-    }
-
-    pub fn store(&self, new: Shared<'_, T>, ord: Ordering) {
-        self.ptr.store(new.ptr, ord);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bohm_sync::atomic::AtomicPtr;
     use std::sync::Arc;
-
-    #[test]
-    fn owned_into_shared_roundtrip() {
-        let g = pin();
-        let s = Owned::new(41usize).into_shared(&g);
-        // SAFETY: `s` was just created from an `Owned` and never shared
-        // with another thread; reading and reclaiming it here is exclusive.
-        assert_eq!(unsafe { s.as_ref() }, Some(&41));
-        // SAFETY: as above — exclusive ownership.
-        drop(unsafe { s.into_owned() });
-    }
-
-    #[test]
-    fn owned_box_roundtrip_keeps_the_allocation() {
-        let b = Box::new(5u64);
-        let addr: *const u64 = &*b;
-        let mut o = Owned::from(b);
-        *o += 1;
-        let b = o.into_box();
-        assert_eq!(*b, 6);
-        assert_eq!(&*b as *const u64, addr, "no reallocation either way");
-    }
-
-    #[test]
-    fn atomic_store_load() {
-        let a: Atomic<u32> = Atomic::null();
-        let g = pin();
-        assert!(a.load(Ordering::Acquire, &g).is_null());
-        let s = Owned::new(7u32).into_shared(&g);
-        a.store(s, Ordering::Release);
-        let got = a.load(Ordering::Acquire, &g);
-        // SAFETY: this thread is the only one touching `a`; the pointer is
-        // live and uniquely owned, so deref + take-ownership are sound.
-        assert_eq!(unsafe { got.as_ref() }, Some(&7));
-        // SAFETY: as above — exclusive ownership.
-        drop(unsafe { got.into_owned() });
-    }
 
     #[test]
     fn deferred_free_runs_after_grace_period() {
@@ -434,10 +256,10 @@ mod tests {
         }
         {
             let g = pin();
-            let s = Owned::new(Counts).into_shared(&g);
-            // SAFETY: `s` is unlinked (never published); no later reader
+            let p = Box::into_raw(Box::new(Counts));
+            // SAFETY: `p` is unlinked (never published); no later reader
             // can reach it, so deferred destruction is sound.
-            unsafe { g.defer_unchecked(move || drop(s.into_owned())) };
+            unsafe { g.defer_unchecked(move || drop(Box::from_raw(p))) };
         }
         // Drive the collector: repeated pin/defer cycles must eventually
         // advance the epoch twice and run the free.
@@ -456,6 +278,34 @@ mod tests {
     }
 
     #[test]
+    fn pins_alone_drive_reclamation() {
+        static FREED: AtomicUsize = AtomicUsize::new(0);
+        struct Counts;
+        impl Drop for Counts {
+            fn drop(&mut self) {
+                FREED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        {
+            let g = pin();
+            let p = Box::into_raw(Box::new(Counts));
+            // SAFETY: `p` was never published; nothing else can reach it.
+            unsafe { g.defer_unchecked(move || drop(Box::from_raw(p))) };
+        }
+        // One deferral, then only pins: no further defer and no explicit
+        // advance may be needed for the free to run. (Other tests hold
+        // pins for a while, which may hold the epoch back meanwhile.)
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while std::time::Instant::now() < deadline {
+            drop(pin());
+            if FREED.load(Ordering::SeqCst) == 1 {
+                return;
+            }
+        }
+        panic!("pins never advanced the epoch far enough to free");
+    }
+
+    #[test]
     fn pinned_guard_blocks_reclamation() {
         static FREED: AtomicUsize = AtomicUsize::new(0);
         struct Flag;
@@ -465,9 +315,9 @@ mod tests {
             }
         }
         let outer = pin();
-        let s = Owned::new(Flag).into_shared(&outer);
-        // SAFETY: `s` was never published; nothing else can reach it.
-        unsafe { outer.defer_unchecked(move || drop(s.into_owned())) };
+        let p = Box::into_raw(Box::new(Flag));
+        // SAFETY: `p` was never published; nothing else can reach it.
+        unsafe { outer.defer_unchecked(move || drop(Box::from_raw(p))) };
         // Hammer the collector from another thread; the outer pin must hold
         // the free back the whole time.
         let stop = Arc::new(AtomicUsize::new(0));
@@ -489,46 +339,22 @@ mod tests {
     }
 
     #[test]
-    fn unprotected_defers_immediately() {
-        static FREED: AtomicUsize = AtomicUsize::new(0);
-        // SAFETY: this test is single-threaded, so no other participant
-        // can be inside a critical section — `unprotected` is sound, and
-        // the deferred closure only touches a static counter.
-        let g = unsafe { unprotected() };
-        // SAFETY: unprotected guards run deferred work inline; see above.
-        unsafe {
-            g.defer_unchecked(|| {
-                FREED.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        assert_eq!(FREED.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn concurrent_stack_push_pop_with_reclamation() {
         // Treiber-ish single-linked shared list exercised by readers while
-        // a writer unlinks and defers nodes — a miniature of the version
-        // chain usage pattern.
+        // a writer unlinks and defers nodes — the pattern of the window
+        // slots and the Hekaton chains.
         struct Node {
             val: u64,
-            next: Atomic<Node>,
+            next: AtomicPtr<Node>,
         }
-        let head: Arc<Atomic<Node>> = Arc::new(Atomic::null());
+        let head: Arc<AtomicPtr<Node>> = Arc::new(AtomicPtr::new(std::ptr::null_mut()));
         // Build 1,000 nodes.
-        {
-            let g = pin();
-            for i in 0..1_000 {
-                let n = Owned::new(Node {
-                    val: i,
-                    next: Atomic::null(),
-                });
-                // RELAXED: `n` is still thread-private; the Release store
-                // of `head` below publishes `next` with it.
-                n.next
-                    .store(head.load(Ordering::Acquire, &g), Ordering::Relaxed);
-                let s = n.into_shared(&g);
-                head.store(s, Ordering::Release);
-            }
+        for i in 0..1_000 {
+            let n = Box::into_raw(Box::new(Node {
+                val: i,
+                next: AtomicPtr::new(head.load(Ordering::Acquire)),
+            }));
+            head.store(n, Ordering::Release);
         }
         let stop = Arc::new(AtomicUsize::new(0));
         let mut readers = Vec::new();
@@ -537,8 +363,8 @@ mod tests {
             let stop = Arc::clone(&stop);
             readers.push(std::thread::spawn(move || {
                 while stop.load(Ordering::SeqCst) == 0 {
-                    let g = pin();
-                    let mut cur = head.load(Ordering::Acquire, &g);
+                    let _g = pin();
+                    let mut cur = head.load(Ordering::Acquire);
                     let mut last = u64::MAX;
                     // SAFETY: nodes reachable from `head` under a pin are
                     // not freed until two epochs after being unlinked.
@@ -546,7 +372,7 @@ mod tests {
                         // Values strictly decrease toward the tail.
                         assert!(n.val < last);
                         last = n.val;
-                        cur = n.next.load(Ordering::Acquire, &g);
+                        cur = n.next.load(Ordering::Acquire);
                     }
                 }
             }));
@@ -555,16 +381,16 @@ mod tests {
         let mut popped = 0;
         while popped < 1_000 {
             let g = pin();
-            let top = head.load(Ordering::Acquire, &g);
+            let top = head.load(Ordering::Acquire);
             // SAFETY: this is the only thread that unlinks, so `top` is
             // still linked and live under our pin.
             let Some(n) = (unsafe { top.as_ref() }) else {
                 break;
             };
-            head.store(n.next.load(Ordering::Acquire, &g), Ordering::Release);
+            head.store(n.next.load(Ordering::Acquire), Ordering::Release);
             // SAFETY: `top` was just unlinked by its sole writer; readers
             // that still hold it are pinned, which defers the free.
-            unsafe { g.defer_unchecked(move || drop(top.into_owned())) };
+            unsafe { g.defer_unchecked(move || drop(Box::from_raw(top))) };
             popped += 1;
         }
         assert_eq!(popped, 1_000);

@@ -6,7 +6,7 @@
 //! RUSTFLAGS="--cfg bohm_modelcheck" cargo test --test modelcheck
 //! ```
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * **Detector self-tests** — the deliberately broken [`MiniRing`]
 //!   variant (its consumer drops the Acquire load) must be reported as a
@@ -20,6 +20,11 @@
 //!   schedule, and `truncate_recycle_vs_reader` proves that recycling a
 //!   truncated version into a new placeholder is ordered after the last
 //!   reader of its previous life (the race detector watches the payload).
+//! * **mvstore index model** — a partition's single writer unlinks a key
+//!   while an execution-role thread probes the same bucket, and frees the
+//!   entry (recycling its chain) only once the GC bound, Acquire-loaded
+//!   from the prober's Release-published finished timestamp, passes the
+//!   unlinking batch: `unlink_vs_probe` (PCT and random scheduling).
 //! * **lock-manager model** — `RwSpin` guarding a facade
 //!   [`UnsafeCell`](bohm_sync::cell::UnsafeCell) payload: the vector-clock
 //!   detector proves the lock's Acquire/Release edges actually order the
@@ -104,10 +109,9 @@ mod chain {
     use bohm_common::value::{get_u64, of_u64};
     use bohm_mvstore::{Chain, Version, VersionPool};
     use bohm_sync::atomic::{AtomicU64, Ordering};
-    use crossbeam_epoch as epoch;
 
-    fn ready(ts: u64) -> epoch::Owned<Version> {
-        epoch::Owned::new(Version::ready(ts, of_u64(ts, 8)))
+    pub(super) fn ready(ts: u64) -> Box<Version> {
+        Box::new(Version::ready(ts, of_u64(ts, 8)))
     }
 
     /// BOHM's pipeline on one chain, under the GC watermark contract. The
@@ -123,11 +127,8 @@ mod chain {
     /// payload, and no walk may reach the truncated ts-1 version.
     fn install_truncate_scan() {
         let chain = Arc::new(Chain::new());
-        {
-            let g = epoch::pin();
-            chain.install(ready(1), &g);
-            chain.install(ready(5), &g);
-        }
+        chain.install(ready(1));
+        chain.install(ready(5));
         let finished = Arc::new(AtomicU64::new(0));
         let planned = Arc::new(AtomicU64::new(0));
         let writer = {
@@ -137,15 +138,14 @@ mod chain {
                 Arc::clone(&planned),
             );
             bohm_sync::thread::spawn(move || {
-                let g = epoch::pin();
                 let mut pool = VersionPool::new();
-                chain.install(ready(9), &g);
+                chain.install(ready(9));
                 planned.store(9, Ordering::Release);
                 let bound = finished.load(Ordering::Acquire);
                 // SAFETY: the reader reads at or below 8 only before its
                 // Release publish of 8, and above it after; `bound` is an
                 // Acquire load of that publish (the watermark rule).
-                unsafe { chain.truncate(bound, &g, &mut pool) };
+                unsafe { chain.truncate(bound, &mut pool) };
             })
         };
         let reader = {
@@ -156,8 +156,7 @@ mod chain {
             );
             bohm_sync::thread::spawn(move || {
                 let read = |ts: u64| {
-                    let g = epoch::pin();
-                    let v = chain.visible(ts, &g).expect("every ts > 1 sees a version");
+                    let v = chain.visible(ts).expect("every ts > 1 sees a version");
                     assert!(v.begin() < ts, "visible({ts}) returned begin {}", v.begin());
                     assert!(v.end() >= ts, "visible({ts}) returned end {}", v.end());
                     assert_eq!(get_u64(v.data(), 0), v.begin());
@@ -175,13 +174,12 @@ mod chain {
         reader.join().unwrap();
         // Quiescent state: [9, 5] once truncated at 8 (the writer may have
         // loaded the bound before it was published and truncated nothing).
-        let g = epoch::pin();
         // SAFETY: both threads joined; no reader is left.
-        unsafe { chain.truncate(8, &g, &mut VersionPool::new()) };
-        assert_eq!(chain.depth(&g), 2);
-        let latest = chain.visible(100, &g).expect("latest version survives");
+        unsafe { chain.truncate(8, &mut VersionPool::new()) };
+        assert_eq!(chain.depth(), 2);
+        let latest = chain.visible(100).expect("latest version survives");
         assert_eq!(latest.begin(), 9);
-        assert!(chain.visible(2, &g).is_none(), "ts-1 version was truncated");
+        assert!(chain.visible(2).is_none(), "ts-1 version was truncated");
     }
 
     #[test]
@@ -202,51 +200,161 @@ mod chain {
     /// against the reader's payload read.
     fn truncate_recycle_vs_reader() {
         let chain = Arc::new(Chain::new());
-        {
-            let g = epoch::pin();
-            chain.install(ready(1), &g);
-            chain.install(ready(5), &g);
-        }
+        chain.install(ready(1));
+        chain.install(ready(5));
         let finished = Arc::new(AtomicU64::new(0));
         let exec = {
             let (chain, finished) = (Arc::clone(&chain), Arc::clone(&finished));
             bohm_sync::thread::spawn(move || {
-                {
-                    let g = epoch::pin();
-                    let v = chain.visible(5, &g).expect("the RMW predecessor");
-                    assert_eq!((v.begin(), v.end()), (1, 5));
-                    assert_eq!(get_u64(v.data(), 0), 1);
-                }
+                let v = chain.visible(5).expect("the RMW predecessor");
+                assert_eq!((v.begin(), v.end()), (1, 5));
+                assert_eq!(get_u64(v.data(), 0), 1);
                 finished.store(5, Ordering::Release);
             })
         };
         let cc = {
             let (chain, finished) = (Arc::clone(&chain), Arc::clone(&finished));
             bohm_sync::thread::spawn(move || {
-                let g = epoch::pin();
                 let mut pool = VersionPool::new();
                 let bound = finished.load(Ordering::Acquire);
                 // SAFETY: the reader's only read precedes its Release
                 // publish of 5, and `bound` is an Acquire load of it.
-                let recycled = unsafe { chain.truncate(bound, &g, &mut pool) };
+                let recycled = unsafe { chain.truncate(bound, &mut pool) };
                 assert_eq!(recycled, usize::from(bound >= 5));
-                let v = chain.install(pool.placeholder(9, 8), &g);
-                // SAFETY: just installed by this (owning) thread.
-                unsafe { v.as_ref() }.unwrap().fill(&of_u64(9, 8));
+                let v = chain.install(pool.placeholder(9, 8));
+                v.fill(&of_u64(9, 8));
                 assert!(pool.is_empty(), "a recycled version is reused first");
             })
         };
         exec.join().unwrap();
         cc.join().unwrap();
-        let g = epoch::pin();
-        let head = chain.visible(100, &g).expect("the ts-9 write");
+        let head = chain.visible(100).expect("the ts-9 write");
         assert_eq!((head.begin(), get_u64(head.data(), 0)), (9, 9));
-        assert_eq!(get_u64(chain.visible(9, &g).unwrap().data(), 0), 5);
+        assert_eq!(get_u64(chain.visible(9).unwrap().data(), 0), 5);
     }
 
     #[test]
     fn truncate_recycle_vs_reader_explored() {
         model::explore(model::Options::default(), truncate_recycle_vs_reader);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// mvstore: a partition's writer retiring a key vs. an execution-role probe
+// ---------------------------------------------------------------------------
+
+mod index {
+    use super::chain::ready;
+    use super::*;
+    use bohm_common::value::get_u64;
+    use bohm_common::RecordId;
+    use bohm_mvstore::{HashIndex, VersionPool};
+    use bohm_sync::atomic::{AtomicU64, Ordering};
+
+    /// Key retirement by the watermark rule for entries, on one bucket.
+    /// The partition holds keys `a` and `b` in the same bucket, listed
+    /// `[b, a]`, each with a ready version. The owning CC thread runs CC
+    /// for batch 2 (timestamps 9..=16): it unlinks `a` with grace 16, then
+    /// Release-publishes batch 2 as planned (the `finish_cc` edge). Running
+    /// CC for later batches, it calls `free_unlinked` — which
+    /// Acquire-loads the GC bound, here the execution thread's
+    /// Release-published finished timestamp — until the bound has passed
+    /// 16, which must free `a`, then
+    /// takes a placeholder from its pool, re-arming `a`'s recycled
+    /// version. The execution thread probes `a` (walking past `b`) for
+    /// batch 1, which may or may not still find it, and publishes 8; once
+    /// batch 2 is planned it probes the bucket again, which must not find
+    /// `a`, and publishes 16. The free poisons the entry's key through a
+    /// tracked cell and re-arming rewrites the payload, so a free not
+    /// ordered after the batch-1 probe is reported as a data race.
+    fn unlink_vs_probe() {
+        let idx = Arc::new(HashIndex::with_capacity(16));
+        let mask = idx.bucket_count() as u64 - 1;
+        let a = RecordId::new(0, 1);
+        let b = (2..)
+            .map(|row| RecordId::new(0, row))
+            .find(|r| (r.stable_hash() ^ a.stable_hash()) & mask == 0)
+            .unwrap();
+        for (k, ts) in [(a, 1), (b, 2)] {
+            // SAFETY: no other thread exists yet.
+            unsafe { idx.get_or_insert(k) }.install(ready(ts));
+        }
+        let finished = Arc::new(AtomicU64::new(0));
+        let planned = Arc::new(AtomicU64::new(1));
+        let exec = {
+            let (idx, finished, planned) = (
+                Arc::clone(&idx),
+                Arc::clone(&finished),
+                Arc::clone(&planned),
+            );
+            bohm_sync::thread::spawn(move || {
+                let payload =
+                    |k: RecordId| idx.get(k).map(|c| get_u64(c.visible(8).unwrap().data(), 0));
+                assert!(
+                    matches!(payload(a), None | Some(1)),
+                    "batch 1 read a wrong `a`"
+                );
+                finished.store(8, Ordering::Release);
+                while planned.load(Ordering::Acquire) != 2 {
+                    bohm_sync::thread::yield_now();
+                }
+                assert_eq!(payload(a), None, "batch 2 found a key unlinked in its CC");
+                assert_eq!(payload(b), Some(2), "the bucket lost `b`");
+                finished.store(16, Ordering::Release);
+            })
+        };
+        let cc = {
+            let (idx, finished, planned) = (
+                Arc::clone(&idx),
+                Arc::clone(&finished),
+                Arc::clone(&planned),
+            );
+            bohm_sync::thread::spawn(move || {
+                let mut pool = VersionPool::new();
+                // SAFETY: this thread is the only writer; grace 16 is the
+                // last timestamp of batch 2, which the execution thread
+                // publishes only after its last probe that could find `a`.
+                let n = unsafe { idx.sweep_retire(0, usize::MAX, 16, &mut |r, _| r == a) };
+                assert_eq!(n, 1);
+                planned.store(2, Ordering::Release);
+                let mut freed = 0;
+                loop {
+                    // RELAXED: loop exit only; the ordering under test is
+                    // the Acquire load inside `free_unlinked`.
+                    let last = finished.load(Ordering::Relaxed) == 16;
+                    // SAFETY: only writer; `finished` is the execution
+                    // thread's watermark, Release-stored after its probes.
+                    freed += unsafe { idx.free_unlinked(&finished, &mut pool) };
+                    if last {
+                        break;
+                    }
+                    bohm_sync::thread::yield_now();
+                }
+                drop(pool.placeholder(17, 8));
+                freed
+            })
+        };
+        exec.join().unwrap();
+        assert_eq!(
+            cc.join().unwrap(),
+            1,
+            "`a` is freed once the bound passes 16"
+        );
+        assert_eq!(idx.len(), 1);
+        assert!(idx.get(a).is_none() && idx.get(b).is_some());
+    }
+
+    #[test]
+    fn unlink_vs_probe_explored() {
+        for random in [false, true] {
+            model::explore(
+                model::Options {
+                    random,
+                    ..model::Options::default()
+                },
+                unlink_vs_probe,
+            );
+        }
     }
 }
 

@@ -135,7 +135,7 @@ fn many_threads_few_txns() {
 #[test]
 fn annotations_off_matches_serial_order() {
     let mut cfg = BohmConfig::with_threads(3, 3);
-    cfg.annotate_reads = false;
+    cfg.annotate_max_reads = 0;
     run_and_check(one_table(128), rmw_mix(128, 3_000, true, 5), cfg, 300);
 }
 
